@@ -260,7 +260,7 @@ def _parse_payload(
     value: object
     if c == "*":
         value, i = UNIT, i + 1
-    elif c == "-" or c.isdigit():
+    elif c == "-" or c in "0123456789":
         value, i = _parse_int(s, i)
     elif c == '"':
         value, i = _parse_string(s, i)
@@ -281,7 +281,8 @@ def _parse_int(s: str, i: int) -> tuple[int, int]:
     if s[i] == "-":
         i += 1
     digits = i
-    while i < len(s) and s[i].isdigit():
+    # ASCII digits only: str.isdigit also takes '²', which int() rejects
+    while i < len(s) and s[i] in "0123456789":
         i += 1
     if i == digits:
         raise ParseError("expected a digit", i)

@@ -32,9 +32,18 @@ EXIT_USAGE = 2
 EXIT_SIZE_LIMIT = 3
 
 _ALG_MAX_N = {"td": 9, "bu": 20}
+
+
+def _ascii_int(token: str) -> int:
+    """int(token), refusing the other scripts' digits that int() reads."""
+    if not token.isascii():
+        raise ValueError(f"non-ASCII characters in {token!r}")
+    return int(token)
+
+
 _ELEMENT_PARSERS: dict[str, Callable[[str], object]] = {
-    "min-removal-sum": int,
-    "min-removal-max": int,
+    "min-removal-sum": _ascii_int,
+    "min-removal-max": _ascii_int,
 }
 
 

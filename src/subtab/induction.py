@@ -4,7 +4,8 @@ A problem is posed as a Solver: `e` answers the empty sequence, `g`
 combines a sequence ys with the table of answers for its immediate
 sublists.  `td` recurses straight down, recomputing shared sublists;
 `bu` sweeps the lattice level by level so every sublist is answered
-exactly once.  Both produce identical results for any solver.
+exactly once.  Both produce identical results for any solver.  `bu_spec`
+is the tree form of `bu`, kept as its specification.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Sequence, TypeVar
 
-from .bintree import Bin, TipZ, Tree, is_tree, map_tree, un_tip, zip_with
-from .tabulate import choose, retabulate
+from .bintree import Bin, TipS, TipZ, Tree, is_tree, map_tree, un_tip, zip_with
+from .tabulate import choose, drop_ranks, retabulate
 
 E = TypeVar("E")
 S = TypeVar("S")
@@ -82,22 +83,49 @@ def bu(
 ) -> S:
     """Bottom-up: sweep the sublist lattice one level at a time.
 
-    Level k holds the answers for all k-sublists.  Raising level k with
-    retabulate regroups those answers under each (k+1)-sublist, which is
-    exactly the children table g expects, so each level is one zip.  Each
-    sublist is answered once, and only two layers of tables are ever live.
+    Level k is a flat list of the answers for all k-sublists, in
+    flatten(choose(k, xs)) order, beside a list of those sublists.  Each
+    (k+1)-sublist gathers its children table from level k at the indices
+    drop_ranks gives; the keys are built the way choose builds them, so g
+    sees the same sublists, tables and call order as under bu_spec.  Each
+    sublist is answered once, and only two levels are ever live.
+    _observe sees the first level and then, per level, a one-payload
+    table holding that level's first children table.
+    """
+    n = len(xs)
+    g = solver.g
+    level = [solver.e()]
+    keys = [xs[:0]]
+    if _observe is not None:
+        _observe(TipZ(level[0]))
+    for k in range(n):
+        answers: list[S] = []
+        sublists: list[Sequence[E]] = []
+        for first, ranks in drop_ranks(n, k):
+            children: Tree[S] = TipZ(level[ranks[k]])
+            for i in range(k - 1, -1, -1):
+                children = Bin(TipS(level[ranks[i]]), children)
+            if _observe is not None and not answers:
+                _observe(TipZ(children))
+            ys = xs[first : first + 1] + keys[ranks[0]]
+            sublists.append(ys)
+            answers.append(g(ys, children))
+        level, keys = answers, sublists
+    return level[0]
+
+
+def bu_spec(solver: Solver[E, S], xs: Sequence[E]) -> S:
+    """The tree form of bu, which bu must match in answers and g calls.
+
+    Level k is the tree choose(k, xs) with answers for payloads.  Raising
+    it with retabulate regroups those answers under each (k+1)-sublist,
+    which is exactly the children table g expects, so each level is one
+    zip.
     """
     n = len(xs)
     level: Tree = TipZ(solver.e())
-    if _observe is not None:
-        _observe(level)
     for k in range(n):
-        nested = retabulate(n, k, level)
-        if _observe is not None:
-            _observe(nested)
-        level = zip_with(solver.g, choose(k + 1, xs), nested)
-        if _observe is not None:
-            _observe(level)
+        level = zip_with(solver.g, choose(k + 1, xs), retabulate(n, k, level))
     return un_tip(level)
 
 
@@ -109,8 +137,10 @@ class CallStats:
     """Counters collected by run_instrumented.
 
     peak_nesting is the deepest table-of-tables layering seen in any
-    intermediate table; g_key_counts maps each sequence passed to g to
-    its number of invocations.
+    observed table.  td shows every children table it builds; bu is read
+    once per level, on a table holding that level's first children
+    table, since all its children tables are built alike.  g_key_counts
+    maps each sequence passed to g to its number of invocations.
     """
 
     g_calls: int = 0

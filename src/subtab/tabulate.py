@@ -4,13 +4,15 @@ Level k of the lattice over an n-element source is the family of its
 k-element sublists, tabulated in a binomial-shaped tree.  `choose` builds
 the table, `blank` its payload-free skeleton, and `retabulate` raises a
 level-k table to level k+1 by grouping, for each (k+1)-sublist, the
-entries at all of its immediate sublists.
+entries at all of its immediate sublists.  `drop_ranks` does the same
+grouping for levels stored as flat lists in flatten order, by index
+arithmetic alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generic, Sequence, TypeVar
+from typing import Generic, Iterator, Sequence, TypeVar
 
 from .bintree import (
     Bin,
@@ -144,6 +146,61 @@ def _retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
         _retabulate(n - 1, k, left),
         zip_with(cons_table, left, _retabulate(n - 1, k - 1, right)),
     )
+
+
+def drop_ranks(n: int, k: int) -> Iterator[tuple[int, list[int]]]:
+    """Where the immediate sublists of each (k+1)-sublist sit in level k.
+
+    A flat level-m table of an n-element source lists its m-sublists in
+    flatten(choose(m, xs)) order; the sorted position set
+    p_0 < ... < p_{m-1} sits at index sum_j C(n-1-p_j, m-j).  For each
+    (k+1)-position set p, in level-(k+1) order, yields p_0 and the
+    level-k indices of p minus p_i for i = 0..k, which is the order of
+    choose(k, p).  Looking those indices up in flatten(t) gives the
+    flattened payloads of retabulate(n, k, t).  Requires 0 <= k < n.
+    Ranks are computed as the sweep runs; nothing is kept between calls.
+    """
+    if not 0 <= k < n:
+        raise InvalidLevel(f"cannot raise level {k} within {n} elements")
+    return _drop_ranks(n, k)
+
+
+def _drop_ranks(n: int, k: int) -> Iterator[tuple[int, list[int]]]:
+    m = k + 1
+    pascal = [[math.comb(x, j) for j in range(m + 1)] for x in range(n)]
+    for rank, p in enumerate(_table_order(n, m)):
+        # The index of p minus p_i is sum_{j<i} C(n-1-p_j, k-j) plus
+        # sum_{j>i} C(n-1-p_j, m-j); acc holds the first sum plus
+        # sum_{j>=i} of the second, which at i = 0 is p's own index.
+        acc = rank
+        ranks = []
+        j = m
+        for x in p:
+            row = pascal[n - 1 - x]
+            term = row[j]
+            ranks.append(acc - term)
+            j -= 1
+            acc += row[j] - term
+        yield p[0], ranks
+
+
+def _table_order(n: int, m: int) -> Iterator[list[int]]:
+    """The m-position sets of range(n) in flatten(choose(m, ...)) order.
+
+    That order is reverse lexicographic, so each step takes the
+    lexicographic predecessor.  The one list is updated in place.
+    """
+    p = list(range(n - m, n))
+    while True:
+        yield p
+        i = m - 1
+        while i >= 0 and p[i] == (p[i - 1] + 1 if i else 0):
+            i -= 1
+        if i < 0:
+            return
+        p[i] -= 1
+        for j in range(i + 1, m):
+            p[j] = n - m + j
 
 
 def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:

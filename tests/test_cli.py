@@ -113,6 +113,15 @@ def test_solve_reports_unparsable_elements(capsys):
     assert "'x'" in err and "position 2" in err
 
 
+@pytest.mark.parametrize("text", ["\uff11,\uff12", "\uff11\uff12", "1,\u0662"])
+def test_solve_rejects_non_ascii_digits(capsys, text):
+    code, out, err = run(
+        capsys, "solve", "--problem", "min-removal-sum", "--input", text, "--alg", "bu"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot parse element") and "Traceback" not in err
+
+
 def test_solve_enforces_driver_size_limits(capsys):
     code, _, _ = run(
         capsys, "solve", "--problem", "digest", "--input", "abcdefghij", "--alg", "td"

@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from conftest import codec_payloads, shaped_trees
-from subtab import Bin, ParseError, TipS, TipZ, UNIT, choose, decode, encode
+from subtab import Bin, ParseError, TipS, TipZ, UNIT, choose, decode, encode, is_tree
 
 
 def test_encode_examples():
@@ -78,12 +78,32 @@ def test_decode_payload_hook_applies_at_every_level():
         ('Z("a\\x")', 4),
         ("Z([1,])", 5),
         ("Z([)", 3),
+        ("Z(\u00b2)", 2),
+        ("Z(-\u00b2)", 3),
+        ("Z(1\u00b2)", 3),
+        ("Z(\uff11)", 2),
     ],
 )
 def test_decode_reports_the_offending_position(text, position):
     with pytest.raises(ParseError) as err:
         decode(text)
     assert err.value.position == position
+
+
+GRAMMAR_PIECES = ["Z(", "S(", "B(", ")", ",", "*", "-", "[", "]", '"', "\\", "0", "7", "\u00b2", "\uff11"]
+
+
+@settings(max_examples=300)
+@given(
+    st.text(max_size=200)
+    | st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=100).map("".join)
+)
+def test_decode_returns_a_tree_or_raises_parse_error(text):
+    try:
+        t = decode(text)
+    except ParseError:
+        return
+    assert is_tree(t)
 
 
 @given(shaped_trees(max_n=6, payloads=codec_payloads))

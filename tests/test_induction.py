@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subtab import (
+    PROBLEMS,
     Bin,
     Overflow,
     Solver,
@@ -18,6 +19,7 @@ from subtab import (
     bu_call_count,
     digest_problem,
     flatten,
+    get_problem,
     nesting_depth,
     run_instrumented,
     solver_from_singleton_base,
@@ -25,6 +27,7 @@ from subtab import (
     td,
     td_call_count,
 )
+from subtab.induction import bu_spec
 
 COUNT = subtree_count_problem().solver
 DIGEST = digest_problem().solver
@@ -45,10 +48,40 @@ def test_drivers_agree_on_seeded_random_inputs():
         assert td(DIGEST, xs) == bu(DIGEST, xs)
 
 
-@settings(max_examples=40)
-@given(st.lists(st.integers(0, 9), max_size=5).map(tuple))
+# td makes 69,281 g calls at n = 8; ten examples keep this to a few seconds
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=8).map(tuple))
 def test_drivers_agree_property(xs):
-    assert td(DIGEST, xs) == bu(DIGEST, xs)
+    assert td(DIGEST, xs) == bu_spec(DIGEST, xs) == bu(DIGEST, xs)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_bu_matches_its_tree_spec_at_n_12(name):
+    problem = get_problem(name)
+    numbers = tuple(Random(12).randrange(50) for _ in range(12))
+    # min-removal sums its sublists, so its text input is bytes: ints
+    # that slice and concatenate the way str does
+    text = bytes(numbers) if problem.domain == "numbers" else "qwertyuiopas"
+    for xs in (numbers, text):
+        assert bu(problem.solver, xs) == bu_spec(problem.solver, xs)
+
+
+def test_bu_calls_g_like_its_tree_spec():
+    def recording(calls):
+        def g(ys, children):
+            calls.append((ys, children))
+            return ys
+        return Solver(e=lambda: "", g=g)
+
+    # answers are the keys themselves, so equal calls mean equal keys,
+    # children tables and order
+    for n in range(9):
+        for xs in ("abcdefgh"[:n], tuple(range(n))):
+            flat, tree = [], []
+            bu(recording(flat), xs)
+            bu_spec(recording(tree), xs)
+            assert flat == tree
+            assert [type(ys) for ys, _ in flat] == [type(xs)] * (2**n - 1)
 
 
 def test_driver_agreement_catches_order_dependence():

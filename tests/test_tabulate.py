@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given
 
-from conftest import bitmask_sublists, shaped_trees
+from conftest import bitmask_sublists, fill_tree, shaped_trees
 from subtab import (
     Bin,
     EmptyInput,
@@ -31,6 +31,7 @@ from subtab import (
     size,
     validate_shape,
 )
+from subtab.tabulate import drop_ranks
 
 # hand-expanded from the shape rules, payload by payload
 CHOOSE_1_ABC = Bin(Bin(TipS("c"), TipZ("b")), TipZ("a"))
@@ -232,3 +233,20 @@ def test_keyed_table_from_source():
     assert table.shape == Shape(4, 2)
     assert table.tree == CHOOSE_2_ABCD
     assert table.entries() == ("cd", "bd", "bc", "ad", "ac", "ab")
+
+
+def test_drop_ranks_match_retabulating_an_index_table():
+    for n in range(1, 11):
+        for k in range(n):
+            indices = fill_tree(n, k, range(comb(n, k)))
+            raised = [list(flatten(t)) for t in flatten(retabulate(n, k, indices))]
+            plan = list(drop_ranks(n, k))
+            assert [ranks for _, ranks in plan] == raised
+            firsts = [ys[0] for ys in flatten(choose(k + 1, tuple(range(n))))]
+            assert [first for first, _ in plan] == firsts
+
+
+def test_drop_ranks_rejects_levels_with_nothing_above():
+    for n, k in [(0, 0), (3, 3), (3, -1)]:
+        with pytest.raises(InvalidLevel):
+            drop_ranks(n, k)
