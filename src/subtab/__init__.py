@@ -51,8 +51,6 @@ from .problems import (
 from .tabulate import (
     EmptyInput,
     InvalidLevel,
-    KeyedTable,
-    Shape,
     ShapeError,
     blank,
     cd_classic,

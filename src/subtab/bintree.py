@@ -158,35 +158,34 @@ def _flatten_into(t: Tree[P], acc: list[P]) -> None:
 # No whitespace is emitted and none is accepted.  Inside strings only '"'
 # and '\' are escaped, with a backslash.  Sequence payloads decode to
 # tuples; '[]' is the empty sequence.
+#
+# Each 'Z(', 'S(', 'B(' and '[' opens one nesting level.  decode accepts
+# at most MAX_DEPTH levels, so that deep text fails with a ParseError at
+# the opener past the bound rather than exhausting the interpreter stack.
+
+MAX_DEPTH = 300
 
 
-def encode(t: Tree[P], encode_payload: Callable[[P], str] | None = None) -> str:
+def encode(t: Tree[P]) -> str:
     """Render t in the single-line text form.
 
-    The default payload encoding covers unit, int, str, tuple and nested
-    trees.  Pass encode_payload to take over payload rendering; its output
-    must conform to the payload grammar.
+    Payloads may be unit, int, str, tuple or nested trees.
     """
     parts: list[str] = []
-    _encode_tree(t, parts, encode_payload)
+    _encode_tree(t, parts)
     return "".join(parts)
 
 
-def _encode_tree(
-    t: Tree[P], parts: list[str], ep: Callable[[P], str] | None
-) -> None:
+def _encode_tree(t: Tree[P], parts: list[str]) -> None:
     if isinstance(t, Bin):
         parts.append("B(")
-        _encode_tree(t.left, parts, ep)
+        _encode_tree(t.left, parts)
         parts.append(",")
-        _encode_tree(t.right, parts, ep)
+        _encode_tree(t.right, parts)
         parts.append(")")
         return
     parts.append("Z(" if isinstance(t, TipZ) else "S(")
-    if ep is None:
-        _encode_payload(t.payload, parts)
-    else:
-        parts.append(ep(t.payload))
+    _encode_payload(t.payload, parts)
     parts.append(")")
 
 
@@ -207,73 +206,60 @@ def _encode_payload(p: object, parts: list[str]) -> None:
             _encode_payload(item, parts)
         parts.append("]")
     elif is_tree(p):
-        _encode_tree(p, parts, None)
+        _encode_tree(p, parts)
     else:
-        raise TypeError(
-            f"no default encoding for payload of type {type(p).__name__}; "
-            "pass encode_payload"
-        )
+        raise TypeError(f"no encoding for payload of type {type(p).__name__}")
 
 
-def decode(
-    text: str, decode_payload: Callable[[object], object] | None = None
-) -> Tree:
+def decode(text: str) -> Tree:
     """Parse the text form back into a tree.
 
-    decode_payload, if given, post-processes every decoded payload value.
     Raises ParseError with the offending offset on malformed input,
-    including trailing characters.
+    including trailing characters and nesting deeper than MAX_DEPTH.
     """
-    t, pos = _parse_tree(text, 0, decode_payload)
+    t, pos = _parse_tree(text, 0, 1)
     if pos != len(text):
         raise ParseError("trailing input", pos)
     return t
 
 
-def _parse_tree(
-    s: str, i: int, dp: Callable[[object], object] | None
-) -> tuple[Tree, int]:
+def _parse_tree(s: str, i: int, depth: int) -> tuple[Tree, int]:
     if i >= len(s):
         raise ParseError("expected a tree", i)
+    if depth > MAX_DEPTH:
+        raise ParseError(f"nesting deeper than {MAX_DEPTH}", i)
     c = s[i]
     if c in "ZS":
         i = _expect(s, i + 1, "(")
-        payload, i = _parse_payload(s, i, dp)
+        payload, i = _parse_payload(s, i, depth)
         i = _expect(s, i, ")")
         return (TipZ(payload) if c == "Z" else TipS(payload)), i
     if c == "B":
         i = _expect(s, i + 1, "(")
-        left, i = _parse_tree(s, i, dp)
+        left, i = _parse_tree(s, i, depth + 1)
         i = _expect(s, i, ",")
-        right, i = _parse_tree(s, i, dp)
+        right, i = _parse_tree(s, i, depth + 1)
         i = _expect(s, i, ")")
         return Bin(left, right), i
     raise ParseError("expected 'Z', 'S' or 'B'", i)
 
 
-def _parse_payload(
-    s: str, i: int, dp: Callable[[object], object] | None
-) -> tuple[object, int]:
+def _parse_payload(s: str, i: int, depth: int) -> tuple[object, int]:
+    """Parse the payload at s[i]; depth is that of its enclosing level."""
     if i >= len(s):
         raise ParseError("expected a payload", i)
     c = s[i]
-    value: object
     if c == "*":
-        value, i = UNIT, i + 1
-    elif c == "-" or c in "0123456789":
-        value, i = _parse_int(s, i)
-    elif c == '"':
-        value, i = _parse_string(s, i)
-    elif c == "[":
-        value, i = _parse_sequence(s, i, dp)
-    elif c in "ZSB":
-        value, i = _parse_tree(s, i, dp)
-        return value, i  # nested trees already ran dp on their payloads
-    else:
-        raise ParseError("expected a payload", i)
-    if dp is not None:
-        value = dp(value)
-    return value, i
+        return UNIT, i + 1
+    if c == "-" or c in "0123456789":
+        return _parse_int(s, i)
+    if c == '"':
+        return _parse_string(s, i)
+    if c == "[":
+        return _parse_sequence(s, i, depth + 1)
+    if c in "ZSB":
+        return _parse_tree(s, i, depth + 1)
+    raise ParseError("expected a payload", i)
 
 
 def _parse_int(s: str, i: int) -> tuple[int, int]:
@@ -307,15 +293,15 @@ def _parse_string(s: str, i: int) -> tuple[str, int]:
     raise ParseError("unterminated string", i)
 
 
-def _parse_sequence(
-    s: str, i: int, dp: Callable[[object], object] | None
-) -> tuple[tuple, int]:
+def _parse_sequence(s: str, i: int, depth: int) -> tuple[tuple, int]:
+    if depth > MAX_DEPTH:
+        raise ParseError(f"nesting deeper than {MAX_DEPTH}", i)
     i += 1  # past '['
     if i < len(s) and s[i] == "]":
         return (), i + 1
     items = []
     while True:
-        item, i = _parse_payload(s, i, dp)
+        item, i = _parse_payload(s, i, depth)
         items.append(item)
         if i < len(s) and s[i] == ",":
             i += 1
@@ -333,9 +319,7 @@ def _expect(s: str, i: int, ch: str) -> int:
 # --- ascii rendering --------------------------------------------------------
 
 
-def render_ascii(
-    t: Tree[P], render_payload: Callable[[P], str] | None = None
-) -> str:
+def render_ascii(t: Tree[P]) -> str:
     """Indented multi-line picture of a tree.
 
     A branch prints '. ' followed by its left subtree, with the right
@@ -343,8 +327,7 @@ def render_ascii(
     payload, which is assumed to render on one line.  Strings render bare;
     other payloads fall back to the codec form.
     """
-    rp = render_payload if render_payload is not None else _render_payload
-    return "\n".join(_ascii_lines(t, rp))
+    return "\n".join(_ascii_lines(t))
 
 
 def _render_payload(p: object) -> str:
@@ -355,11 +338,11 @@ def _render_payload(p: object) -> str:
     return "".join(parts)
 
 
-def _ascii_lines(t: Tree[P], rp: Callable[[P], str]) -> list[str]:
+def _ascii_lines(t: Tree[P]) -> list[str]:
     if not isinstance(t, Bin):
-        return [rp(t.payload)]
-    first, *rest = _ascii_lines(t.left, rp)
+        return [_render_payload(t.payload)]
+    first, *rest = _ascii_lines(t.left)
     out = [". " + first]
     out.extend("  " + line for line in rest)
-    out.extend("  " + line for line in _ascii_lines(t.right, rp))
+    out.extend("  " + line for line in _ascii_lines(t.right))
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from random import Random
 from string import ascii_lowercase
@@ -32,12 +33,21 @@ EXIT_USAGE = 2
 EXIT_SIZE_LIMIT = 3
 
 _ALG_MAX_N = {"td": 9, "bu": 20}
+# choose recurses once per element and a middle k prints C(n, k) entries,
+# so render stops where bu does
+_RENDER_MAX_N = _ALG_MAX_N["bu"]
+
+_INT_TOKEN = re.compile("-?[0-9]+")
 
 
 def _ascii_int(token: str) -> int:
-    """int(token), refusing the other scripts' digits that int() reads."""
-    if not token.isascii():
-        raise ValueError(f"non-ASCII characters in {token!r}")
+    """int(token) for tokens of the form -?[0-9]+ only.
+
+    int() alone also reads other scripts' digits, '_' separators, a '+'
+    sign and surrounding whitespace.
+    """
+    if not _INT_TOKEN.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
     return int(token)
 
 
@@ -277,6 +287,9 @@ def _parse_elements(
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    n = len(args.input)
+    if n > _RENDER_MAX_N:
+        raise SizeLimit(f"render is limited to {_RENDER_MAX_N} elements, got {n}")
     table = choose(args.k, args.input)
     if args.format == "ascii":
         print(render_ascii(table))

@@ -148,18 +148,12 @@ def brute_force_removal_oracle(cost: str, xs: Seq) -> Any:
     n = len(xs)
     if n > 8:
         raise SizeLimit(f"brute force is limited to 8 elements, got {n}")
-    if n == 0:
-        return 0
-    best = None
-    for order in itertools.permutations(range(n)):
-        removed = [False] * n
-        total = 0
-        for i in order:
-            total += step([x for j, x in enumerate(xs) if not removed[j]])
-            removed[i] = True
-        if best is None or total < best:
-            best = total
-    return best
+    # Both costs ignore element order, so the elements left after t
+    # removals can be taken as the suffix order[t:] of the removal order.
+    return min(
+        sum(step(order[t:]) for t in range(n))
+        for order in itertools.permutations(xs)
+    )
 
 
 def _step_fn(cost: str) -> Callable[[Seq], Any]:

@@ -11,8 +11,7 @@ arithmetic alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Generic, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from .bintree import (
     Bin,
@@ -42,20 +41,6 @@ class ShapeError(ValueError):
 
 class EmptyInput(ValueError):
     """An operation that consumes one element got an empty sequence."""
-
-
-@dataclass(frozen=True)
-class Shape:
-    """Shape index (n, k) of a table; valid when 0 <= k <= n."""
-
-    n: int
-    k: int
-
-    def is_valid(self) -> bool:
-        return 0 <= self.k <= self.n
-
-    def entries(self) -> int:
-        return math.comb(self.n, self.k)
 
 
 def choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:
@@ -111,18 +96,18 @@ def cons_table(y: P, t: Tree[P]) -> Tree[P]:
     return Bin(TipS(y), t)
 
 
-def retabulate(n: int, k: int, t: Tree[P], *, check: bool = True) -> Tree[Tree[P]]:
+def retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
     """Raise a level-k table to level k+1.
 
     The result is valid at (n, k+1); each payload is itself a (k+1, k)
     table grouping the entries of t at all immediate sublists of one
     (k+1)-sublist, ordered with the sublist omitting the newest element
-    first.  Requires 0 <= k < n.  With check=True (the default) t is
-    validated once up front; recursive calls skip the re-check.
+    first.  Requires 0 <= k < n.  t is validated once up front;
+    recursive calls skip the re-check.
     """
     if not 0 <= k < n:
         raise InvalidLevel(f"cannot raise level {k} within {n} elements")
-    if check and not validate_shape(t, n, k):
+    if not validate_shape(t, n, k):
         raise ShapeError(f"tree does not validate at ({n}, {k})")
     return _retabulate(n, k, t)
 
@@ -258,37 +243,3 @@ def check_rotation(n: int, k: int) -> bool:
         raise InvalidLevel(f"need 0 <= k < {n}, got {k}")
     expected = map_tree(lambda _: blank(k + 1, k), blank(n, k + 1))
     return retabulate(n, k, blank(n, k)) == expected
-
-
-@dataclass(frozen=True)
-class KeyedTable(Generic[E]):
-    """A level-k table paired with its shape, entries being the sublists."""
-
-    shape: Shape
-    tree: Tree[Seq[E]]
-
-    @classmethod
-    def from_source(cls, k: int, xs: Seq[E]) -> "KeyedTable[E]":
-        """Tabulate the k-sublists of xs and verify the result."""
-        tree = choose(k, xs)
-        shape = Shape(len(xs), k)
-        if not validate_shape(tree, shape.n, shape.k):
-            raise ShapeError(f"table does not validate at ({shape.n}, {shape.k})")
-        entries = flatten(tree)
-        wanted = {tuple(ys) for ys in _subsets(k, xs)}
-        if len(entries) != shape.entries() or {tuple(e) for e in entries} != wanted:
-            raise ShapeError("table entries do not enumerate the k-sublists")
-        return cls(shape, tree)
-
-    def entries(self) -> tuple[Seq[E], ...]:
-        return flatten(self.tree)
-
-
-def _subsets(k: int, xs: Seq[E]) -> list[tuple[E, ...]]:
-    # independent of choose: position bitmasks
-    n = len(xs)
-    out = []
-    for mask in range(1 << n):
-        if mask.bit_count() == k:
-            out.append(tuple(xs[i] for i in range(n) if mask >> i & 1))
-    return out

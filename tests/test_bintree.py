@@ -188,4 +188,3 @@ def test_ascii_tips_and_defaults():
     assert render_ascii(TipZ(UNIT)) == "*"
     assert render_ascii(TipS("free text")) == "free text"
     assert render_ascii(Bin(TipS(1), TipZ((2, 3)))) == ". 1\n  [2,3]"
-    assert render_ascii(TipZ(7), render_payload=lambda p: f"<{p}>") == "<7>"

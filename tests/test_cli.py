@@ -100,6 +100,11 @@ def test_solve_accepts_empty_and_bare_string_inputs(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "0"
+    code, out, _ = run(
+        capsys, "solve", "--problem", "min-removal-sum", "--input=-3,4", "--alg", "bu"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "-2"
     code, out, _ = run(capsys, "solve", "--problem", "digest", "--input", "abc", "--alg", "bu")
     assert code == 0
     assert json.loads(out.splitlines()[1])["n"] == 3
@@ -113,7 +118,9 @@ def test_solve_reports_unparsable_elements(capsys):
     assert "'x'" in err and "position 2" in err
 
 
-@pytest.mark.parametrize("text", ["\uff11,\uff12", "\uff11\uff12", "1,\u0662"])
+@pytest.mark.parametrize(
+    "text", ["\uff11,\uff12", "\uff11\uff12", "1,\u0662", "1_0,2", "+3,4", " 3,4"]
+)
 def test_solve_rejects_non_ascii_digits(capsys, text):
     code, out, err = run(
         capsys, "solve", "--problem", "min-removal-sum", "--input", text, "--alg", "bu"
@@ -144,6 +151,14 @@ def test_render_rejects_impossible_levels(capsys):
     assert err.startswith("error:")
     code, _, _ = run(capsys, "render", "--input", "ab", "--k", "-1")
     assert code == 2
+
+
+def test_render_enforces_its_size_limit(capsys):
+    code, out, err = run(capsys, "render", "--input", "a" * 21, "--k", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    code, out, _ = run(capsys, "render", "--input", "a" * 20, "--k", "1")
+    assert code == 0 and out.count('"a"') == 20
 
 
 def test_unknown_problem_is_a_usage_error(capsys):

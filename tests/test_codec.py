@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import codec_payloads, shaped_trees
 from subtab import Bin, ParseError, TipS, TipZ, UNIT, choose, decode, encode, is_tree
+from subtab.bintree import MAX_DEPTH
 
 
 def test_encode_examples():
@@ -34,10 +35,6 @@ def test_encode_rejects_unsupported_payloads():
             encode(TipZ(payload))
 
 
-def test_encode_payload_hook():
-    assert encode(TipZ(3.5), encode_payload=lambda p: str(int(p * 2))) == "Z(7)"
-
-
 def test_decode_examples():
     assert decode("Z(*)") == TipZ(UNIT)
     assert decode('B(S("b"),Z("a"))') == Bin(TipS("b"), TipZ("a"))
@@ -50,14 +47,6 @@ def test_decode_examples():
 def test_decode_accepts_noncanonical_integers():
     assert decode("Z(007)") == TipZ(7)
     assert decode("Z(-0)") == TipZ(0)
-
-
-def test_decode_payload_hook_applies_at_every_level():
-    doubled = decode(
-        "Z([1,2])",
-        decode_payload=lambda v: v * 2 if isinstance(v, int) else v,
-    )
-    assert doubled == TipZ((2, 4))
 
 
 @pytest.mark.parametrize(
@@ -88,6 +77,25 @@ def test_decode_reports_the_offending_position(text, position):
     with pytest.raises(ParseError) as err:
         decode(text)
     assert err.value.position == position
+
+
+# Text nesting d levels of one kind, and the offset of its level-d opener.
+DEEP_TEXTS = {
+    "tips": lambda d: ("Z(" * d + "*" + ")" * d, 2 * (d - 1)),
+    "branches": lambda d: ("B(" * (d - 1) + "Z(*)" + ",Z(*))" * (d - 1), 2 * (d - 1)),
+    "sequences": lambda d: ("Z(" + "[" * (d - 1) + "]" * (d - 1) + ")", d),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_TEXTS))
+def test_decode_bounds_the_nesting_depth(kind):
+    text, _ = DEEP_TEXTS[kind](MAX_DEPTH)
+    assert encode(decode(text)) == text
+    _, offset = DEEP_TEXTS[kind](MAX_DEPTH + 1)
+    for depth in [MAX_DEPTH + 1, 5000]:
+        with pytest.raises(ParseError) as err:
+            decode(DEEP_TEXTS[kind](depth)[0])
+        assert err.value.position == offset
 
 
 GRAMMAR_PIECES = ["Z(", "S(", "B(", ")", ",", "*", "-", "[", "]", '"', "\\", "0", "7", "\u00b2", "\uff11"]

@@ -12,8 +12,6 @@ from subtab import (
     Bin,
     EmptyInput,
     InvalidLevel,
-    KeyedTable,
-    Shape,
     ShapeError,
     TipS,
     TipZ,
@@ -158,11 +156,6 @@ def test_retabulate_rejects_bad_levels_and_shapes():
         retabulate(4, 2, blank(4, 1))
 
 
-def test_retabulate_check_flag_skips_validation():
-    t = blank(4, 2)
-    assert retabulate(4, 2, t, check=False) == retabulate(4, 2, t)
-
-
 @given(shaped_trees(max_n=7))
 def test_retabulate_naturality(case):
     n, k, t = case
@@ -220,19 +213,6 @@ def test_rotation_sweep():
             assert check_rotation(n, k)
     with pytest.raises(InvalidLevel):
         check_rotation(3, 3)
-
-
-def test_shape_helpers():
-    assert Shape(4, 2).is_valid() and Shape(4, 2).entries() == 6
-    assert not Shape(2, 3).is_valid()
-    assert Shape(0, 0).entries() == 1
-
-
-def test_keyed_table_from_source():
-    table = KeyedTable.from_source(2, "abcd")
-    assert table.shape == Shape(4, 2)
-    assert table.tree == CHOOSE_2_ABCD
-    assert table.entries() == ("cd", "bd", "bc", "ad", "ac", "ab")
 
 
 def test_drop_ranks_match_retabulating_an_index_table():
