@@ -36,6 +36,10 @@ class ParseError(ValueError):
         self.position = position
 
 
+class SizeLimit(ValueError):
+    """Input is larger than the operation's documented bound."""
+
+
 class _Unit:
     """Placeholder payload for blank tables; the codec spells it '*'."""
 
@@ -162,6 +166,7 @@ def _flatten_into(t: Tree[P], acc: list[P]) -> None:
 # Each 'Z(', 'S(', 'B(' and '[' opens one nesting level.  decode accepts
 # at most MAX_DEPTH levels, so that deep text fails with a ParseError at
 # the opener past the bound rather than exhausting the interpreter stack.
+# encode and render_ascii count levels alike and raise SizeLimit there.
 
 MAX_DEPTH = 300
 
@@ -172,24 +177,27 @@ def encode(t: Tree[P]) -> str:
     Payloads may be unit, int, str, tuple or nested trees.
     """
     parts: list[str] = []
-    _encode_tree(t, parts)
+    _encode_tree(t, parts, 1)
     return "".join(parts)
 
 
-def _encode_tree(t: Tree[P], parts: list[str]) -> None:
+def _encode_tree(t: Tree[P], parts: list[str], depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise SizeLimit(f"nesting deeper than {MAX_DEPTH}")
     if isinstance(t, Bin):
         parts.append("B(")
-        _encode_tree(t.left, parts)
+        _encode_tree(t.left, parts, depth + 1)
         parts.append(",")
-        _encode_tree(t.right, parts)
+        _encode_tree(t.right, parts, depth + 1)
         parts.append(")")
         return
     parts.append("Z(" if isinstance(t, TipZ) else "S(")
-    _encode_payload(t.payload, parts)
+    _encode_payload(t.payload, parts, depth)
     parts.append(")")
 
 
-def _encode_payload(p: object, parts: list[str]) -> None:
+def _encode_payload(p: object, parts: list[str], depth: int) -> None:
+    """Append p; depth is that of its enclosing level."""
     if isinstance(p, _Unit):
         parts.append("*")
     elif isinstance(p, bool):
@@ -199,14 +207,16 @@ def _encode_payload(p: object, parts: list[str]) -> None:
     elif isinstance(p, str):
         parts.append('"' + p.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif isinstance(p, tuple):
+        if depth >= MAX_DEPTH:
+            raise SizeLimit(f"nesting deeper than {MAX_DEPTH}")
         parts.append("[")
         for i, item in enumerate(p):
             if i:
                 parts.append(",")
-            _encode_payload(item, parts)
+            _encode_payload(item, parts, depth + 1)
         parts.append("]")
     elif is_tree(p):
-        _encode_tree(p, parts)
+        _encode_tree(p, parts, depth + 1)
     else:
         raise TypeError(f"no encoding for payload of type {type(p).__name__}")
 
@@ -327,22 +337,24 @@ def render_ascii(t: Tree[P]) -> str:
     payload, which is assumed to render on one line.  Strings render bare;
     other payloads fall back to the codec form.
     """
-    return "\n".join(_ascii_lines(t))
+    return "\n".join(_ascii_lines(t, 1))
 
 
-def _render_payload(p: object) -> str:
+def _render_payload(p: object, depth: int) -> str:
     if isinstance(p, str):
         return p
     parts: list[str] = []
-    _encode_payload(p, parts)
+    _encode_payload(p, parts, depth)
     return "".join(parts)
 
 
-def _ascii_lines(t: Tree[P]) -> list[str]:
+def _ascii_lines(t: Tree[P], depth: int) -> list[str]:
+    if depth > MAX_DEPTH:
+        raise SizeLimit(f"nesting deeper than {MAX_DEPTH}")
     if not isinstance(t, Bin):
-        return [_render_payload(t.payload)]
-    first, *rest = _ascii_lines(t.left)
+        return [_render_payload(t.payload, depth)]
+    first, *rest = _ascii_lines(t.left, depth + 1)
     out = [". " + first]
     out.extend("  " + line for line in rest)
-    out.extend("  " + line for line in _ascii_lines(t.right))
+    out.extend("  " + line for line in _ascii_lines(t.right, depth + 1))
     return out

@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="largest source size to sweep (0..10)",
     )
-    verify.add_argument("--seed", type=int, default=0, help="seed for random cases")
+    verify.add_argument("--seed", type=_ascii_int, default=0, help="seed for random cases")
     verify.set_defaults(func=_cmd_verify)
 
     bench = sub.add_parser("bench", help="run one driver instrumented, report JSON")
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     render = sub.add_parser("render", help="print the table of k-sublists")
     render.add_argument("--input", required=True, help="source string, one element per character")
-    render.add_argument("--k", type=int, required=True, help="sublist size to tabulate")
+    render.add_argument("--k", type=_ascii_int, required=True, help="sublist size to tabulate")
     render.add_argument("--format", choices=("text", "ascii"), default="text")
     render.set_defaults(func=_cmd_render)
 
@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _bounded_int(lo: int, hi: int | None) -> Callable[[str], int]:
     def parse(text: str) -> int:
-        value = int(text)
+        value = _ascii_int(text)
         if value < lo or (hi is not None and value > hi):
             top = "" if hi is None else f" and at most {hi}"
             raise argparse.ArgumentTypeError(f"must be at least {lo}{top}")

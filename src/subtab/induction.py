@@ -58,11 +58,7 @@ def solver_from_singleton_base(
     return Solver(e=lambda: None, g=g_adapted)  # type: ignore[arg-type]
 
 
-def td(
-    solver: Solver[E, S],
-    xs: Sequence[E],
-    _observe: Callable[[Tree], None] | None = None,
-) -> S:
+def td(solver: Solver[E, S], xs: Sequence[E]) -> S:
     """Top-down: recurse into every immediate sublist independently.
 
     Shared sublists are recomputed each time they are reached, so the
@@ -70,17 +66,11 @@ def td(
     """
     if len(xs) == 0:
         return solver.e()
-    children = map_tree(lambda ys: td(solver, ys, _observe), choose(len(xs) - 1, xs))
-    if _observe is not None:
-        _observe(children)
+    children = map_tree(lambda ys: td(solver, ys), choose(len(xs) - 1, xs))
     return solver.g(xs, children)
 
 
-def bu(
-    solver: Solver[E, S],
-    xs: Sequence[E],
-    _observe: Callable[[Tree], None] | None = None,
-) -> S:
+def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
     """Bottom-up: sweep the sublist lattice one level at a time.
 
     Level k is a flat list of the answers for all k-sublists, in
@@ -89,15 +79,11 @@ def bu(
     drop_ranks gives; the keys are built the way choose builds them, so g
     sees the same sublists, tables and call order as under bu_spec.  Each
     sublist is answered once, and only two levels are ever live.
-    _observe sees the first level and then, per level, a one-payload
-    table holding that level's first children table.
     """
     n = len(xs)
     g = solver.g
     level = [solver.e()]
     keys = [xs[:0]]
-    if _observe is not None:
-        _observe(TipZ(level[0]))
     for k in range(n):
         answers: list[S] = []
         sublists: list[Sequence[E]] = []
@@ -105,8 +91,6 @@ def bu(
             children: Tree[S] = TipZ(level[ranks[k]])
             for i in range(k - 1, -1, -1):
                 children = Bin(TipS(level[ranks[i]]), children)
-            if _observe is not None and not answers:
-                _observe(TipZ(children))
             ys = xs[first : first + 1] + keys[ranks[0]]
             sublists.append(ys)
             answers.append(g(ys, children))
@@ -129,18 +113,20 @@ def bu_spec(solver: Solver[E, S], xs: Sequence[E]) -> S:
     return un_tip(level)
 
 
-_DRIVERS = {"td": td, "bu": bu}
+# Each driver with its table layers around a children table (a bu level).
+_DRIVERS = {"td": (td, 0), "bu": (bu, 1)}
 
 
 @dataclass
 class CallStats:
     """Counters collected by run_instrumented.
 
-    peak_nesting is the deepest table-of-tables layering seen in any
-    observed table.  td shows every children table it builds; bu is read
-    once per level, on a table holding that level's first children
-    table, since all its children tables are built alike.  g_key_counts
-    maps each sequence passed to g to its number of invocations.
+    peak_nesting is the driver's table layers (td 0, bu 1) plus the
+    nesting of the first children table g receives for each sublist
+    size, as all of one size are built alike; on empty input, where g is
+    never called, it is the layer count alone, whatever e() returns.
+    g_key_counts maps each sequence td passes to g to its call count;
+    bu answers each sublist once and leaves it empty.
     """
 
     g_calls: int = 0
@@ -178,12 +164,15 @@ def run_instrumented(
     counts correctly.
     """
     try:
-        driver = _DRIVERS[alg]
+        driver, layers = _DRIVERS[alg]
     except KeyError:
         raise ValueError(f"unknown algorithm {alg!r}; expected 'td' or 'bu'") from None
 
-    stats = CallStats()
+    stats = CallStats(peak_nesting=layers)
     lock = threading.Lock()
+    walked_sizes: set[int] = set()
+    # only td can reach a sublist twice
+    keys = stats.g_key_counts if driver is td else None
 
     def counted_e() -> S:
         with lock:
@@ -193,18 +182,17 @@ def run_instrumented(
     def counted_g(ys: Sequence[E], children: Tree[S]) -> S:
         with lock:
             stats.g_calls += 1
-            stats.g_key_counts[ys] += 1
+            if keys is not None:
+                keys[ys] += 1
+            if len(ys) not in walked_sizes:
+                walked_sizes.add(len(ys))
+                d = layers + _nesting_depth(children)
+                stats.peak_nesting = max(stats.peak_nesting, d)
         return solver.g(ys, children)
-
-    def observe(t: Tree) -> None:
-        d = _nesting_depth(t)
-        with lock:
-            if d > stats.peak_nesting:
-                stats.peak_nesting = d
 
     wrapped = Solver(e=counted_e, g=counted_g)
     start = time.perf_counter_ns()
-    result = driver(wrapped, xs, _observe=observe)
+    result = driver(wrapped, xs)
     stats.wall_ns = time.perf_counter_ns() - start
     return result, stats
 

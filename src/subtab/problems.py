@@ -9,14 +9,10 @@ from random import Random
 from string import ascii_lowercase
 from typing import Any, Callable, Sequence
 
-from .bintree import Tree, flatten
+from .bintree import SizeLimit, Tree, flatten
 from .induction import Overflow, Solver, td
 
 Seq = Sequence
-
-
-class SizeLimit(ValueError):
-    """Input is larger than the operation's documented bound."""
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,22 @@ def test_verify_seed_changes_nothing_but_is_recorded(capsys):
     assert json.loads(out)["seed"] == 9
 
 
-def test_verify_rejects_oversized_sweeps(capsys):
+# integer options take -?[0-9]+ only, like --input elements
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "99"],
+        ["verify", "--n", "\uff13"],
+        ["verify", "--n", "1_0"],
+        ["bench", "--n", "+4", "--alg", "bu", "--problem", "digest"],
+        ["verify", "--n", "3", "--seed", "\u0663"],
+        ["render", "--input", "abcd", "--k", "\uff12"],
+    ],
+    ids=["n-99", "n-fullwidth", "n-underscore", "bench-n-plus", "seed-arabic-indic", "k-fullwidth"],
+)
+def test_verify_rejects_oversized_sweeps(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
-        main(["verify", "--n", "99"])
+        main(argv)
     assert exit_info.value.code == 2
     assert "usage" in capsys.readouterr().err
 

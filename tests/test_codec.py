@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import codec_payloads, shaped_trees
-from subtab import Bin, ParseError, TipS, TipZ, UNIT, choose, decode, encode, is_tree
+from subtab import (
+    Bin,
+    ParseError,
+    SizeLimit,
+    TipS,
+    TipZ,
+    UNIT,
+    choose,
+    decode,
+    encode,
+    is_tree,
+    render_ascii,
+)
 from subtab.bintree import MAX_DEPTH
 
 
@@ -85,17 +97,33 @@ DEEP_TEXTS = {
     "branches": lambda d: ("B(" * (d - 1) + "Z(*)" + ",Z(*))" * (d - 1), 2 * (d - 1)),
     "sequences": lambda d: ("Z(" + "[" * (d - 1) + "]" * (d - 1) + ")", d),
 }
+# One more level of the same kind around a tree, built by hand since
+# decode returns nothing that deep.
+DEEPER = {
+    "tips": TipZ,
+    "branches": lambda t: Bin(t, TipZ(UNIT)),
+    "sequences": lambda t: TipZ((t.payload,)),
+}
 
 
 @pytest.mark.parametrize("kind", sorted(DEEP_TEXTS))
 def test_decode_bounds_the_nesting_depth(kind):
     text, _ = DEEP_TEXTS[kind](MAX_DEPTH)
-    assert encode(decode(text)) == text
+    at_bound = decode(text)
+    assert encode(at_bound) == text
+    render_ascii(at_bound)
     _, offset = DEEP_TEXTS[kind](MAX_DEPTH + 1)
     for depth in [MAX_DEPTH + 1, 5000]:
         with pytest.raises(ParseError) as err:
             decode(DEEP_TEXTS[kind](depth)[0])
         assert err.value.position == offset
+    past_bound = deepest = DEEPER[kind](at_bound)
+    for _ in range(5000 - MAX_DEPTH - 1):
+        deepest = DEEPER[kind](deepest)
+    for tree in (past_bound, deepest):
+        for write in (encode, render_ascii):
+            with pytest.raises(SizeLimit):
+                write(tree)
 
 
 GRAMMAR_PIECES = ["Z(", "S(", "B(", ")", ",", "*", "-", "[", "]", '"', "\\", "0", "7", "\u00b2", "\uff11"]
