@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="largest source size to sweep (0..10)",
     )
-    verify.add_argument("--seed", type=_ascii_int, default=0, help="seed for random cases")
+    verify.add_argument("--seed", type=_int_option, default=0, help="seed for random cases")
     verify.set_defaults(func=_cmd_verify)
 
     bench = sub.add_parser("bench", help="run one driver instrumented, report JSON")
@@ -104,16 +104,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     render = sub.add_parser("render", help="print the table of k-sublists")
     render.add_argument("--input", required=True, help="source string, one element per character")
-    render.add_argument("--k", type=_ascii_int, required=True, help="sublist size to tabulate")
+    render.add_argument("--k", type=_int_option, required=True, help="sublist size to tabulate")
     render.add_argument("--format", choices=("text", "ascii"), default="text")
     render.set_defaults(func=_cmd_render)
 
     return parser
 
 
+def _int_option(text: str) -> int:
+    """_ascii_int for option values; argparse prints this error as is."""
+    try:
+        return _ascii_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _bounded_int(lo: int, hi: int | None) -> Callable[[str], int]:
     def parse(text: str) -> int:
-        value = _ascii_int(text)
+        value = _int_option(text)
         if value < lo or (hi is not None and value > hi):
             top = "" if hi is None else f" and at most {hi}"
             raise argparse.ArgumentTypeError(f"must be at least {lo}{top}")

@@ -78,19 +78,21 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
     (k+1)-sublist gathers its children table from level k at the indices
     drop_ranks gives; the keys are built the way choose builds them, so g
     sees the same sublists, tables and call order as under bu_spec.  Each
-    sublist is answered once, and only two levels are ever live.
+    sublist is answered once, and only two levels are ever live.  Each
+    answer's TipS is shared by all its parents' tables: trees are immutable.
     """
     n = len(xs)
     g = solver.g
     level = [solver.e()]
     keys = [xs[:0]]
     for k in range(n):
+        tips = [TipS(a) for a in level]
         answers: list[S] = []
         sublists: list[Sequence[E]] = []
         for first, ranks in drop_ranks(n, k):
             children: Tree[S] = TipZ(level[ranks[k]])
             for i in range(k - 1, -1, -1):
-                children = Bin(TipS(level[ranks[i]]), children)
+                children = Bin(tips[ranks[i]], children)
             ys = xs[first : first + 1] + keys[ranks[0]]
             sublists.append(ys)
             answers.append(g(ys, children))
@@ -125,8 +127,8 @@ class CallStats:
     nesting of the first children table g receives for each sublist
     size, as all of one size are built alike; on empty input, where g is
     never called, it is the layer count alone, whatever e() returns.
-    g_key_counts maps each sequence td passes to g to its call count;
-    bu answers each sublist once and leaves it empty.
+    g_key_counts maps tuple(ys), for each ys td passes to g, to its call
+    count; bu answers each sublist once and leaves it empty.
     """
 
     g_calls: int = 0
@@ -183,7 +185,7 @@ def run_instrumented(
         with lock:
             stats.g_calls += 1
             if keys is not None:
-                keys[ys] += 1
+                keys[tuple(ys)] += 1
             if len(ys) not in walked_sizes:
                 walked_sizes.add(len(ys))
                 d = layers + _nesting_depth(children)

@@ -57,7 +57,10 @@ def test_verify_rejects_oversized_sweeps(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
-    assert "usage" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage" in err
+    # argparse names the type function unless it raises ArgumentTypeError
+    assert "_ascii_int" not in err and "parse value" not in err
 
 
 def test_bench_reports_the_call_profile(capsys):

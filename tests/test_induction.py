@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from math import factorial
+from math import comb, factorial
 from random import Random
 
 import pytest
@@ -86,6 +86,28 @@ def test_bu_calls_g_like_its_tree_spec():
             assert len({ys for ys, _ in flat}) == 2**n - 1
 
 
+def test_bu_shares_one_tip_per_answer():
+    kept = []
+
+    def g(ys, children):
+        kept.append((len(ys), children))
+        return ys
+
+    # every children table stays alive, so no object id is reused
+    for n in range(9):
+        kept.clear()
+        bu(Solver(e=lambda: (), g=g), tuple(range(n)))
+        for k in range(n):
+            tips = set()
+            for size, children in kept:
+                if size == k + 1:
+                    while isinstance(children, Bin):
+                        assert isinstance(children.left, TipS)
+                        tips.add(id(children.left))
+                        children = children.right
+            assert len(tips) <= comb(n, k)
+
+
 def test_driver_agreement_catches_order_dependence():
     # a solver digesting children in order disagrees across drivers if
     # either driver permutes a children table
@@ -123,6 +145,13 @@ def test_td_call_profile():
         by_size.setdefault(len(key), set()).add(count)
     # every j-element sublist is recomputed (4 - j)! times
     assert by_size == {1: {6}, 2: {2}, 3: {1}, 4: {1}}
+
+
+def test_td_instrumentation_accepts_list_input():
+    listed, list_stats = run_instrumented("td", DIGEST, [1, 2, 3])
+    tupled, tuple_stats = run_instrumented("td", DIGEST, (1, 2, 3))
+    assert listed == tupled
+    assert list_stats.g_key_counts == tuple_stats.g_key_counts
 
 
 def test_bu_call_profile():
