@@ -14,6 +14,7 @@ from .bintree import (
     TipZ,
     Tree,
     UNIT,
+    UnknownName,
     decode,
     encode,
     flatten,
@@ -31,9 +32,7 @@ from .induction import (
     Solver,
     bu,
     bu_call_count,
-    nesting_depth,
     run_instrumented,
-    solver_from_singleton_base,
     td,
     td_call_count,
 )
@@ -49,7 +48,6 @@ from .problems import (
     subtree_count_problem,
 )
 from .tabulate import (
-    EmptyInput,
     InvalidLevel,
     ShapeError,
     blank,
@@ -58,7 +56,6 @@ from .tabulate import (
     check_spec_equation,
     choose,
     cons_table,
-    immediate_sublists,
     retabulate,
 )
 

@@ -40,6 +40,10 @@ class SizeLimit(ValueError):
     """Input is larger than the operation's documented bound."""
 
 
+class UnknownName(ValueError):
+    """A problem, driver or cost kind looked up by a name that has none."""
+
+
 class _Unit:
     """Placeholder payload for blank tables; the codec spells it '*'."""
 

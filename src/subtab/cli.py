@@ -16,7 +16,7 @@ from string import ascii_lowercase
 from typing import Callable, Sequence
 
 from .bintree import ParseError, Tree, encode, map_tree, render_ascii, un_tip
-from .induction import run_instrumented
+from .induction import bu, run_instrumented, td
 from .problems import PROBLEMS, SizeLimit, get_problem, mix64
 from .tabulate import (
     InvalidLevel,
@@ -213,8 +213,6 @@ def _sweep_naturality(max_n: int, rng: Random) -> tuple[int, int]:
 
 
 def _sweep_agreement(max_n: int, rng: Random) -> tuple[int, int]:
-    from .induction import bu, td  # local to keep module import light
-
     problem = get_problem("digest")
     results = []
     for n in range(0, min(max_n, 8) + 1):

@@ -9,14 +9,15 @@ is the tree form of `bu`, kept as its specification.
 """
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Sequence, TypeVar
 
-from .bintree import Bin, TipS, TipZ, Tree, is_tree, map_tree, un_tip, zip_with
-from .tabulate import choose, drop_ranks, retabulate
+from .bintree import Bin, TipS, TipZ, Tree, UnknownName, is_tree, map_tree, un_tip, zip_with
+from .tabulate import _level, choose, drop_ranks, retabulate
 
 E = TypeVar("E")
 S = TypeVar("S")
@@ -38,24 +39,6 @@ class Solver(Generic[E, S]):
 
     e: Callable[[], S]
     g: Callable[[Sequence[E], Tree[S]], S]
-
-
-def solver_from_singleton_base(
-    f: Callable[[E], S], g: Callable[[Sequence[E], Tree[S]], S]
-) -> Solver[E, S]:
-    """Adapt a problem whose base case is singletons, not the empty sequence.
-
-    The adapted g answers singletons with f directly, so the placeholder
-    stored for the empty sublist is never observed.  Empty input remains
-    undefined for such problems.
-    """
-
-    def g_adapted(ys: Sequence[E], children: Tree[S]) -> S:
-        if len(ys) == 1:
-            return f(ys[0])
-        return g(ys, children)
-
-    return Solver(e=lambda: None, g=g_adapted)  # type: ignore[arg-type]
 
 
 def td(solver: Solver[E, S], xs: Sequence[E]) -> S:
@@ -138,18 +121,9 @@ class CallStats:
     g_key_counts: Counter = field(default_factory=Counter)
 
 
-def nesting_depth(t: Tree) -> int:
-    """1 for a flat table, 2 for a table of tables, and so on.
-
-    Payloads that are themselves trees count as nested tables, so solvers
-    whose solution type is a tree inflate the metric.
-    """
-    if not is_tree(t):
-        raise TypeError("not a tree")
-    return _nesting_depth(t)
-
-
 def _nesting_depth(t: Tree) -> int:
+    """1 for a flat table, 2 for a table of tables, and so on; payloads
+    that are themselves trees count as nested tables."""
     if isinstance(t, Bin):
         return max(_nesting_depth(t.left), _nesting_depth(t.right))
     p = t.payload
@@ -168,7 +142,7 @@ def run_instrumented(
     try:
         driver, layers = _DRIVERS[alg]
     except KeyError:
-        raise ValueError(f"unknown algorithm {alg!r}; expected 'td' or 'bu'") from None
+        raise UnknownName(f"unknown algorithm {alg!r}; expected 'td' or 'bu'") from None
 
     stats = CallStats(peak_nesting=layers)
     lock = threading.Lock()
@@ -201,21 +175,20 @@ def run_instrumented(
 
 def td_call_count(n: int) -> int:
     """g calls a top-down run on n elements makes: T(n) = 1 + n*T(n-1), T(0) = 0."""
-    _guard(n, 20)
     total = 0
-    for m in range(1, n + 1):
+    for m in range(1, _guard(n, 20) + 1):
         total = 1 + m * total
     return total
 
 
 def bu_call_count(n: int) -> int:
     """g calls a bottom-up run on n elements makes: one per nonempty sublist."""
-    _guard(n, 62)
-    return (1 << n) - 1
+    return (1 << _guard(n, 62)) - 1
 
 
-def _guard(n: int, bound: int) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+def _guard(n: int, bound: int) -> int:
+    """n as a size argument, or Overflow when a count past bound is asked for."""
+    n = _level(n, math.inf)
     if n > bound:
         raise Overflow(f"count is astronomically large for n > {bound}")
+    return n

@@ -9,8 +9,8 @@ from random import Random
 from string import ascii_lowercase
 from typing import Any, Callable, Sequence
 
-from .bintree import SizeLimit, Tree, flatten
-from .induction import Overflow, Solver, td
+from .bintree import SizeLimit, Tree, UnknownName, flatten
+from .induction import Overflow, Solver, _guard, td
 
 Seq = Sequence
 
@@ -19,9 +19,9 @@ Seq = Sequence
 class Problem:
     """A solver bundled with what is needed to test and benchmark it.
 
-    oracle computes the expected solution by an independent route and is
-    trusted up to oracle_max_n elements; generator(size, seed) produces a
-    deterministic pseudo-random input of the given size.
+    oracle computes the expected solution by an independent route;
+    generator(size, seed) produces a deterministic pseudo-random input
+    of the given size.
     """
 
     name: str
@@ -29,7 +29,6 @@ class Problem:
     solver: Solver
     oracle: Callable[[Seq], Any]
     generator: Callable[[int, int], tuple]
-    oracle_max_n: int
 
 
 def mix64(data: bytes) -> int:
@@ -75,18 +74,13 @@ def digest_problem() -> Problem:
         solver=solver,
         oracle=lambda xs: td(solver, xs),
         generator=_int_inputs(256),
-        oracle_max_n=8,
     )
 
 
 def subtree_count(m: int) -> int:
     """Closed form for the subtree-count solver: s(m) = 1 + m*s(m-1), s(0) = 1."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m > 20:
-        raise Overflow("count is astronomically large for m > 20")
     total = 1
-    for j in range(1, m + 1):
+    for j in range(1, _guard(m, 20) + 1):
         total = 1 + j * total
     return total
 
@@ -105,7 +99,6 @@ def subtree_count_problem() -> Problem:
         solver=Solver(e=lambda: 1, g=_subtree_count_g),
         oracle=lambda xs: subtree_count(len(xs)),
         generator=_letter_inputs,
-        oracle_max_n=20,
     )
 
 
@@ -130,7 +123,6 @@ def min_removal_problem(cost: str) -> Problem:
         solver=Solver(e=lambda: 0, g=g),
         oracle=lambda xs: brute_force_removal_oracle(cost, xs),
         generator=_int_inputs(50),
-        oracle_max_n=8,
     )
 
 
@@ -156,7 +148,7 @@ def _step_fn(cost: str) -> Callable[[Seq], Any]:
     try:
         return _STEPS[cost]
     except KeyError:
-        raise ValueError(f"unknown cost kind {cost!r}; expected 'sum' or 'max'") from None
+        raise UnknownName(f"unknown cost kind {cost!r}; expected 'sum' or 'max'") from None
 
 
 PROBLEMS: dict[str, Callable[[], Problem]] = {
@@ -171,4 +163,4 @@ def get_problem(name: str) -> Problem:
     try:
         return PROBLEMS[name]()
     except KeyError:
-        raise ValueError(f"unknown problem {name!r}") from None
+        raise UnknownName(f"unknown problem {name!r}") from None

@@ -11,6 +11,7 @@ arithmetic alone.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, Sequence, TypeVar
 
 from .bintree import (
@@ -32,15 +33,26 @@ Seq = Sequence
 
 
 class InvalidLevel(ValueError):
-    """Level index outside 0 <= k <= n (strictly below n where required)."""
+    """A level or size argument that is not an integer in its range.
+
+    Levels run over 0..n (0..n-1 where a level above must exist), sizes
+    over the naturals; floats, strings and None never pass, bools do.
+    """
 
 
 class ShapeError(ValueError):
     """Input tree does not validate at the stated shape."""
 
 
-class EmptyInput(ValueError):
-    """An operation that consumes one element got an empty sequence."""
+def _level(value: object, top: float) -> int:
+    """value as an int in 0..top, else InvalidLevel: every level and size check."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise InvalidLevel(f"not an integer: {value!r}") from None
+    if not 0 <= k <= top:
+        raise InvalidLevel(f"{k} is outside 0..{top}")
+    return k
 
 
 def choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:
@@ -50,10 +62,7 @@ def choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:
     subtree those containing it.  Sublists keep the sequence type of xs
     (str in, str out; tuple in, tuple out).
     """
-    n = len(xs)
-    if k < 0 or k > n:
-        raise InvalidLevel(f"cannot pick {k} of {n} elements")
-    return _choose(k, xs)
+    return _choose(_level(k, len(xs)), xs)
 
 
 def _choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:
@@ -65,18 +74,10 @@ def _choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:
     return Bin(_choose(k, rest), map_tree(lambda ys: head + ys, _choose(k - 1, rest)))
 
 
-def immediate_sublists(xs: Seq[E]) -> tuple[Seq[E], ...]:
-    """The sublists of xs with exactly one element removed, in table order."""
-    if len(xs) == 0:
-        raise EmptyInput("the empty sequence has no immediate sublists")
-    return flatten(choose(len(xs) - 1, xs))
-
-
 def blank(n: int, k: int) -> Tree[object]:
     """The unique unit-payload tree of shape (n, k)."""
-    if k < 0 or n < 0 or k > n:
-        raise InvalidLevel(f"no shape ({n}, {k})")
-    return _blank(n, k)
+    n = _level(n, math.inf)
+    return _blank(n, _level(k, n))
 
 
 def _blank(n: int, k: int) -> Tree[object]:
@@ -102,11 +103,11 @@ def retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
     The result is valid at (n, k+1); each payload is itself a (k+1, k)
     table grouping the entries of t at all immediate sublists of one
     (k+1)-sublist, ordered with the sublist omitting the newest element
-    first.  Requires 0 <= k < n.  t is validated once up front;
+    first.  k runs over 0..n-1.  t is validated once up front;
     recursive calls skip the re-check.
     """
-    if not 0 <= k < n:
-        raise InvalidLevel(f"cannot raise level {k} within {n} elements")
+    n = _level(n, math.inf)
+    k = _level(k, n - 1)
     if not validate_shape(t, n, k):
         raise ShapeError(f"tree does not validate at ({n}, {k})")
     return _retabulate(n, k, t)
@@ -142,12 +143,11 @@ def drop_ranks(n: int, k: int) -> Iterator[tuple[int, list[int]]]:
     (k+1)-position set p, in level-(k+1) order, yields p_0 and the
     level-k indices of p minus p_i for i = 0..k, which is the order of
     choose(k, p).  Looking those indices up in flatten(t) gives the
-    flattened payloads of retabulate(n, k, t).  Requires 0 <= k < n.
+    flattened payloads of retabulate(n, k, t).  k runs over 0..n-1.
     Ranks are computed as the sweep runs; nothing is kept between calls.
     """
-    if not 0 <= k < n:
-        raise InvalidLevel(f"cannot raise level {k} within {n} elements")
-    return _drop_ranks(n, k)
+    n = _level(n, math.inf)
+    return _drop_ranks(n, _level(k, n - 1))
 
 
 def _drop_ranks(n: int, k: int) -> Iterator[tuple[int, list[int]]]:
@@ -223,8 +223,7 @@ def check_spec_equation(k: int, xs: Seq[E]) -> bool:
     comparison via cd_classic applies only for k >= 1.
     """
     n = len(xs)
-    if not 0 <= k < n:
-        raise InvalidLevel(f"need 0 <= k < {n}, got {k}")
+    k = _level(k, n - 1)
     table = choose(k, xs)
     keys = choose(k + 1, xs)
     nested_ok = retabulate(n, k, table) == map_tree(lambda ys: choose(k, ys), keys)
@@ -239,7 +238,7 @@ def check_spec_equation(k: int, xs: Seq[E]) -> bool:
 def check_rotation(n: int, k: int) -> bool:
     """Does raising the blank (n, k) table give blank (k+1, k) payloads
     arranged in the blank (n, k+1) skeleton?"""
-    if not 0 <= k < n:
-        raise InvalidLevel(f"need 0 <= k < {n}, got {k}")
+    n = _level(n, math.inf)
+    k = _level(k, n - 1)
     expected = map_tree(lambda _: blank(k + 1, k), blank(n, k + 1))
     return retabulate(n, k, blank(n, k)) == expected

@@ -15,14 +15,12 @@ from subtab import (
     Solver,
     TipS,
     TipZ,
+    UnknownName,
     bu,
     bu_call_count,
     digest_problem,
-    flatten,
     get_problem,
-    nesting_depth,
     run_instrumented,
-    solver_from_singleton_base,
     subtree_count_problem,
     td,
     td_call_count,
@@ -123,16 +121,6 @@ def test_driver_agreement_catches_order_dependence():
     assert scrambled_bu(DIGEST, xs) != td(DIGEST, xs)
 
 
-def test_singleton_base_adapter():
-    largest = solver_from_singleton_base(
-        f=lambda x: x,
-        g=lambda ys, children: max(flatten(children)),
-    )
-    assert td(largest, (3, 1, 2)) == 3
-    assert bu(largest, (3, 1, 2)) == 3
-    assert td(largest, (9,)) == 9
-
-
 def test_td_call_profile():
     result, stats = run_instrumented("td", COUNT, ("a", "b", "c", "d"))
     assert result == 65
@@ -198,6 +186,8 @@ def test_instrumentation_does_not_change_the_result():
     assert plain == instrumented
     with pytest.raises(ValueError):
         run_instrumented("sideways", DIGEST, xs)
+    with pytest.raises(UnknownName):
+        run_instrumented("sideways", DIGEST, xs)
 
 
 def test_closed_form_values_frozen():
@@ -216,15 +206,6 @@ def test_closed_form_guards():
         bu_call_count(63)
     with pytest.raises(ValueError):
         td_call_count(-1)
-
-
-def test_nesting_depth():
-    assert nesting_depth(TipZ(3)) == 1
-    assert nesting_depth(Bin(TipS(1), TipZ(2))) == 1
-    assert nesting_depth(TipS(TipZ(3))) == 2
-    assert nesting_depth(Bin(TipS(TipZ(1)), TipZ(TipZ(2)))) == 2
-    with pytest.raises(TypeError):
-        nesting_depth("Z(3)")
 
 
 def test_concurrent_runs_are_independent():

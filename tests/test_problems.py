@@ -13,6 +13,7 @@ from subtab import (
     SizeLimit,
     TipS,
     TipZ,
+    UnknownName,
     brute_force_removal_oracle,
     bu,
     digest_problem,
@@ -34,6 +35,8 @@ def test_registry():
     }
     assert get_problem("digest").name == "digest"
     with pytest.raises(ValueError):
+        get_problem("knapsack")
+    with pytest.raises(UnknownName):
         get_problem("knapsack")
 
 
@@ -125,6 +128,10 @@ def test_brute_force_limits_and_bad_cost():
     with pytest.raises(ValueError):
         min_removal_problem("median")
     with pytest.raises(ValueError):
+        brute_force_removal_oracle("median", (1, 2))
+    with pytest.raises(UnknownName):
+        min_removal_problem("median")
+    with pytest.raises(UnknownName):
         brute_force_removal_oracle("median", (1, 2))
 
 

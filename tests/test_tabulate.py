@@ -10,23 +10,24 @@ from hypothesis import given
 from conftest import bitmask_sublists, fill_tree, shaped_trees
 from subtab import (
     Bin,
-    EmptyInput,
     InvalidLevel,
     ShapeError,
     TipS,
     TipZ,
     UNIT,
     blank,
+    bu_call_count,
     cd_classic,
     check_rotation,
     check_spec_equation,
     choose,
     cons_table,
     flatten,
-    immediate_sublists,
     map_tree,
     retabulate,
     size,
+    subtree_count,
+    td_call_count,
     validate_shape,
 )
 from subtab.tabulate import drop_ranks
@@ -74,15 +75,6 @@ def test_choose_rejects_impossible_levels():
         choose(3, "ab")
     with pytest.raises(InvalidLevel):
         choose(-1, "ab")
-
-
-def test_immediate_sublists():
-    assert immediate_sublists("abc") == ("bc", "ac", "ab")
-    assert immediate_sublists("ab") == ("b", "a")
-    assert immediate_sublists("a") == ("",)
-    assert immediate_sublists((1, 2)) == ((2,), (1,))
-    with pytest.raises(EmptyInput):
-        immediate_sublists("")
 
 
 def test_blank_shapes_and_sizes():
@@ -230,3 +222,29 @@ def test_drop_ranks_rejects_levels_with_nothing_above():
     for n, k in [(0, 0), (3, 3), (3, -1)]:
         with pytest.raises(InvalidLevel):
             drop_ranks(n, k)
+
+
+# each public call that takes a level or size, with that argument left open
+LEVEL_ARGUMENTS = {
+    "choose": lambda k: choose(k, "abc"),
+    "blank-n": lambda n: blank(n, 0),
+    "blank-k": lambda k: blank(3, k),
+    "retabulate-n": lambda n: retabulate(n, 0, TipZ("x")),
+    "retabulate-k": lambda k: retabulate(3, k, CHOOSE_1_ABC),
+    "drop_ranks-n": lambda n: list(drop_ranks(n, 0)),
+    "drop_ranks-k": lambda k: list(drop_ranks(3, k)),
+    "check_spec_equation": lambda k: check_spec_equation(k, "abc"),
+    "check_rotation-n": lambda n: check_rotation(n, 0),
+    "check_rotation-k": lambda k: check_rotation(3, k),
+    "td_call_count": td_call_count,
+    "bu_call_count": bu_call_count,
+    "subtree_count": subtree_count,
+}
+
+
+@pytest.mark.parametrize("call", LEVEL_ARGUMENTS.values(), ids=LEVEL_ARGUMENTS)
+def test_level_arguments_are_checked_integers(call):
+    for bad in (1.5, "3", None, -1):
+        with pytest.raises(InvalidLevel):
+            call(bad)
+    assert call(True) == call(1)
