@@ -12,6 +12,7 @@ Nothing validates at k > n.  Trees are immutable and compare structurally.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar, Union
 
@@ -94,7 +95,15 @@ def is_tree(x: object) -> bool:
 
 
 def validate_shape(t: Tree[P], n: int, k: int) -> bool:
-    """Total check that t is well-formed for shape (n, k)."""
+    """Total check that t is well-formed for shape (n, k); False for non-integer n or k."""
+    try:
+        n, k = operator.index(n), operator.index(k)
+    except TypeError:
+        return False
+    return _validate_shape(t, n, k)
+
+
+def _validate_shape(t: Tree[P], n: int, k: int) -> bool:
     if k < 0 or n < 0 or k > n:
         return False
     if k == 0:
@@ -103,16 +112,14 @@ def validate_shape(t: Tree[P], n: int, k: int) -> bool:
         return isinstance(t, TipS)
     return (
         isinstance(t, Bin)
-        and validate_shape(t.left, n - 1, k)
-        and validate_shape(t.right, n - 1, k - 1)
+        and _validate_shape(t.left, n - 1, k)
+        and _validate_shape(t.right, n - 1, k - 1)
     )
 
 
 def size(t: Tree[P]) -> int:
     """Number of payloads; C(n, k) for a tree valid at (n, k)."""
-    if isinstance(t, Bin):
-        return size(t.left) + size(t.right)
-    return 1
+    return len(flatten(t))
 
 
 def map_tree(f: Callable[[P], Q], t: Tree[P]) -> Tree[Q]:
@@ -150,11 +157,11 @@ def flatten(t: Tree[P]) -> tuple[P, ...]:
 
 
 def _flatten_into(t: Tree[P], acc: list[P]) -> None:
-    if isinstance(t, Bin):
+    # children tables are right spines: loop down right children, recurse into left
+    while isinstance(t, Bin):
         _flatten_into(t.left, acc)
-        _flatten_into(t.right, acc)
-    else:
-        acc.append(t.payload)
+        t = t.right
+    acc.append(t.payload)
 
 
 # --- text codec ------------------------------------------------------------
@@ -341,7 +348,9 @@ def render_ascii(t: Tree[P]) -> str:
     payload, which is assumed to render on one line.  Strings render bare;
     other payloads fall back to the codec form.
     """
-    return "\n".join(_ascii_lines(t, 1))
+    lines: list[str] = []
+    _ascii_into(t, "", "", lines, 1)
+    return "\n".join(lines)
 
 
 def _render_payload(p: object, depth: int) -> str:
@@ -352,13 +361,13 @@ def _render_payload(p: object, depth: int) -> str:
     return "".join(parts)
 
 
-def _ascii_lines(t: Tree[P], depth: int) -> list[str]:
+def _ascii_into(t: Tree, first: str, rest: str, lines: list[str], depth: int) -> None:
+    """Append t's lines, the first prefixed with first, the others with rest."""
     if depth > MAX_DEPTH:
         raise SizeLimit(f"nesting deeper than {MAX_DEPTH}")
     if not isinstance(t, Bin):
-        return [_render_payload(t.payload, depth)]
-    first, *rest = _ascii_lines(t.left, depth + 1)
-    out = [". " + first]
-    out.extend("  " + line for line in rest)
-    out.extend("  " + line for line in _ascii_lines(t.right, depth + 1))
-    return out
+        lines.append(first + _render_payload(t.payload, depth))
+        return
+    indent = rest + "  "
+    _ascii_into(t.left, first + ". ", indent, lines, depth + 1)
+    _ascii_into(t.right, indent, indent, lines, depth + 1)

@@ -51,12 +51,6 @@ def _ascii_int(token: str) -> int:
     return int(token)
 
 
-_ELEMENT_PARSERS: dict[str, Callable[[str], object]] = {
-    "min-removal-sum": _ascii_int,
-    "min-removal-max": _ascii_int,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -260,9 +254,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    xs = _parse_elements(args.input, _ELEMENT_PARSERS.get(args.problem, str))
-    _check_driver_size(args.alg, len(xs))
     problem = get_problem(args.problem)
+    xs = _parse_elements(args.input, _ascii_int if problem.domain == "numbers" else str)
+    _check_driver_size(args.alg, len(xs))
     result, stats = run_instrumented(args.alg, problem.solver, xs)
     print(result)
     print(json.dumps(_stats_report(args.problem, args.alg, xs, result, stats)))

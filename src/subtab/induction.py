@@ -10,13 +10,14 @@ is the tree form of `bu`, kept as its specification.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Sequence, TypeVar
 
-from .bintree import Bin, TipS, TipZ, Tree, UnknownName, is_tree, map_tree, un_tip, zip_with
+from .bintree import (
+    Bin, TipS, TipZ, Tree, UnknownName, flatten, is_tree, map_tree, un_tip, zip_with,
+)
 from .tabulate import _level, choose, drop_ranks, retabulate
 
 E = TypeVar("E")
@@ -124,10 +125,7 @@ class CallStats:
 def _nesting_depth(t: Tree) -> int:
     """1 for a flat table, 2 for a table of tables, and so on; payloads
     that are themselves trees count as nested tables."""
-    if isinstance(t, Bin):
-        return max(_nesting_depth(t.left), _nesting_depth(t.right))
-    p = t.payload
-    return 1 + (_nesting_depth(p) if is_tree(p) else 0)
+    return 1 + max((_nesting_depth(p) for p in flatten(t) if is_tree(p)), default=0)
 
 
 def run_instrumented(
@@ -135,9 +133,7 @@ def run_instrumented(
 ) -> tuple[S, CallStats]:
     """Run td or bu with counting wrappers around the solver callbacks.
 
-    The result is identical to the uninstrumented run.  Counter updates
-    take a lock, so a solver that fans g calls out to threads still
-    counts correctly.
+    The result is identical to the uninstrumented run.
     """
     try:
         driver, layers = _DRIVERS[alg]
@@ -145,25 +141,22 @@ def run_instrumented(
         raise UnknownName(f"unknown algorithm {alg!r}; expected 'td' or 'bu'") from None
 
     stats = CallStats(peak_nesting=layers)
-    lock = threading.Lock()
     walked_sizes: set[int] = set()
     # only td can reach a sublist twice
     keys = stats.g_key_counts if driver is td else None
 
     def counted_e() -> S:
-        with lock:
-            stats.e_calls += 1
+        stats.e_calls += 1
         return solver.e()
 
     def counted_g(ys: Sequence[E], children: Tree[S]) -> S:
-        with lock:
-            stats.g_calls += 1
-            if keys is not None:
-                keys[tuple(ys)] += 1
-            if len(ys) not in walked_sizes:
-                walked_sizes.add(len(ys))
-                d = layers + _nesting_depth(children)
-                stats.peak_nesting = max(stats.peak_nesting, d)
+        stats.g_calls += 1
+        if keys is not None:
+            keys[tuple(ys)] += 1
+        if len(ys) not in walked_sizes:
+            walked_sizes.add(len(ys))
+            d = layers + _nesting_depth(children)
+            stats.peak_nesting = max(stats.peak_nesting, d)
         return solver.g(ys, children)
 
     wrapped = Solver(e=counted_e, g=counted_g)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 from hashlib import blake2b
@@ -10,7 +11,8 @@ from string import ascii_lowercase
 from typing import Any, Callable, Sequence
 
 from .bintree import SizeLimit, Tree, UnknownName, flatten
-from .induction import Overflow, Solver, _guard, td
+from .induction import Solver, _guard, td
+from .tabulate import _level
 
 Seq = Sequence
 
@@ -39,14 +41,14 @@ def mix64(data: bytes) -> int:
 def _int_inputs(bound: int) -> Callable[[int, int], tuple]:
     def gen(size: int, seed: int) -> tuple:
         rng = Random(seed)
-        return tuple(rng.randrange(bound) for _ in range(size))
+        return tuple(rng.randrange(bound) for _ in range(_level(size, math.inf)))
 
     return gen
 
 
 def _letter_inputs(size: int, seed: int) -> tuple:
     rng = Random(seed)
-    return tuple(rng.choice(ascii_lowercase) for _ in range(size))
+    return tuple(rng.choice(ascii_lowercase) for _ in range(_level(size, math.inf)))
 
 
 DIGEST_SEED = 0x9E3779B97F4A7C15  # answer for the empty sequence
@@ -86,8 +88,7 @@ def subtree_count(m: int) -> int:
 
 
 def _subtree_count_g(ys: Seq, children: Tree[int]) -> int:
-    if len(ys) > 20:
-        raise Overflow("subtree count overflows its guard for more than 20 elements")
+    _guard(len(ys), 20)
     return 1 + sum(flatten(children))
 
 

@@ -60,18 +60,20 @@ def choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:
 
     The left subtree collects sublists omitting the head of xs, the right
     subtree those containing it.  Sublists keep the sequence type of xs
-    (str in, str out; tuple in, tuple out).
+    (str in, str out; tuple in, tuple out).  Each key is built once: the
+    elements chosen so far pass down as a prefix.
     """
-    return _choose(_level(k, len(xs)), xs)
+    return _choose(_level(k, len(xs)), xs, xs[:0])
 
 
-def _choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:
+def _choose(k: int, xs: Seq[E], chosen: Seq[E]) -> Tree[Seq[E]]:
+    """choose(k, xs) with chosen prefixed to every key."""
     if k == 0:
-        return TipZ(xs[:0])
+        return TipZ(chosen)
     if k == len(xs):
-        return TipS(xs)
-    head, rest = xs[:1], xs[1:]
-    return Bin(_choose(k, rest), map_tree(lambda ys: head + ys, _choose(k - 1, rest)))
+        return TipS(chosen + xs)
+    rest = xs[1:]
+    return Bin(_choose(k, rest, chosen), _choose(k - 1, rest, chosen + xs[:1]))
 
 
 def blank(n: int, k: int) -> Tree[object]:

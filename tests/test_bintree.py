@@ -17,10 +17,12 @@ from subtab import (
     UNIT,
     blank,
     choose,
+    encode,
     flatten,
     is_tree,
     map_tree,
     render_ascii,
+    retabulate,
     size,
     un_tip,
     validate_shape,
@@ -59,6 +61,14 @@ def test_branch_shape_is_positional():
 def test_negative_indices_never_validate():
     assert not validate_shape(TipZ("p"), -1, 0)
     assert not validate_shape(TipZ("p"), 2, -1)
+
+
+def test_non_integer_indices_never_validate():
+    for bad in [1.5, 1.0, "a", None]:
+        assert validate_shape(TipZ("p"), bad, 0) is False
+        assert validate_shape(TipZ("p"), 1, bad) is False
+    assert validate_shape(TipZ("p"), True, False)
+    assert validate_shape(Bin(TipS("b"), TipZ("a")), 2, True)
 
 
 def test_size_counts_payloads():
@@ -146,6 +156,14 @@ def test_flatten_is_left_to_right():
     assert flatten(TipZ("x")) == ("x",)
 
 
+def test_flatten_and_size_walk_a_deep_right_spine():
+    t = TipZ(0)
+    for i in range(1, 5001):
+        t = Bin(TipS(i), t)
+    assert flatten(t) == tuple(range(5000, -1, -1))
+    assert size(t) == 5001
+
+
 def test_is_tree():
     assert is_tree(TipZ(0)) and is_tree(TipS(0)) and is_tree(Bin(TipS(0), TipZ(0)))
     assert not is_tree("Z(0)") and not is_tree(None)
@@ -188,3 +206,19 @@ def test_ascii_tips_and_defaults():
     assert render_ascii(TipZ(UNIT)) == "*"
     assert render_ascii(TipS("free text")) == "free text"
     assert render_ascii(Bin(TipS(1), TipZ((2, 3)))) == ". 1\n  [2,3]"
+
+
+def _picture(t):
+    """The lines of render_ascii, joined up from the subtrees' own lines."""
+    if not isinstance(t, Bin):
+        p = t.payload
+        return [p if isinstance(p, str) else encode(p)]
+    left, right = _picture(t.left), _picture(t.right)
+    return [". " + left[0]] + ["  " + line for line in left[1:] + right]
+
+
+def test_ascii_matches_an_independent_picture():
+    tables = [choose(k, "abcdefghijkl") for k in range(13)]
+    tables.append(retabulate(7, 3, choose(3, "abcdefg")))
+    for t in tables:
+        assert render_ascii(t) == "\n".join(_picture(t))

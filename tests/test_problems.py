@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from subtab import (
     Bin,
+    InvalidLevel,
     Overflow,
     PROBLEMS,
     SizeLimit,
@@ -146,3 +147,14 @@ def test_generators_are_deterministic():
         assert a != c  # astronomically unlikely to collide
     letters = get_problem("subtree-count").generator(5, 1)
     assert all(isinstance(x, str) and len(x) == 1 for x in letters)
+
+
+# subtree-count generates letters, the others integers
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_generator_sizes_are_checked_levels(name):
+    gen = get_problem(name).generator
+    for size in [-1, 2.5, "3", None]:
+        with pytest.raises(InvalidLevel):
+            gen(size, 0)
+    assert gen(True, 5) == gen(1, 5)
+    assert gen(False, 5) == ()
