@@ -7,9 +7,9 @@ sublist-induction solvers over the lattice top-down or bottom-up.
 
 from .bintree import (
     Bin,
-    NotATip,
     ParseError,
-    ShapeMismatch,
+    ShapeError,
+    SizeLimit,
     TipS,
     TipZ,
     Tree,
@@ -28,7 +28,6 @@ from .bintree import (
 )
 from .induction import (
     CallStats,
-    Overflow,
     Solver,
     bu,
     bu_call_count,
@@ -39,7 +38,6 @@ from .induction import (
 from .problems import (
     PROBLEMS,
     Problem,
-    SizeLimit,
     brute_force_removal_oracle,
     digest_problem,
     get_problem,
@@ -49,7 +47,6 @@ from .problems import (
 )
 from .tabulate import (
     InvalidLevel,
-    ShapeError,
     blank,
     cd_classic,
     check_rotation,

@@ -21,12 +21,9 @@ Q = TypeVar("Q")
 R = TypeVar("R")
 
 
-class ShapeMismatch(ValueError):
-    """Zipped trees do not share a constructor skeleton."""
-
-
-class NotATip(ValueError):
-    """A tip was required but a branch node was found."""
+class ShapeError(ValueError):
+    """Not a tree of the shape needed: a non-tree, a tree invalid at the
+    stated (n, k), skeletons that differ, or a branch where a tip must be."""
 
 
 class ParseError(ValueError):
@@ -100,21 +97,21 @@ def validate_shape(t: Tree[P], n: int, k: int) -> bool:
         n, k = operator.index(n), operator.index(k)
     except TypeError:
         return False
-    return _validate_shape(t, n, k)
-
-
-def _validate_shape(t: Tree[P], n: int, k: int) -> bool:
-    if k < 0 or n < 0 or k > n:
+    if not 0 <= k <= n:
         return False
-    if k == 0:
-        return isinstance(t, TipZ)
-    if k == n:
-        return isinstance(t, TipS)
-    return (
-        isinstance(t, Bin)
-        and _validate_shape(t.left, n - 1, k)
-        and _validate_shape(t.right, n - 1, k - 1)
-    )
+    # children of a valid branch keep 0 <= k <= n, so one check suffices
+    pending = [(t, n, k)]
+    while pending:
+        t, n, k = pending.pop()
+        if k == 0 or k == n:
+            if not isinstance(t, TipS if k else TipZ):
+                return False
+        elif isinstance(t, Bin):
+            pending.append((t.left, n - 1, k))
+            pending.append((t.right, n - 1, k - 1))
+        else:
+            return False
+    return True
 
 
 def size(t: Tree[P]) -> int:
@@ -126,9 +123,11 @@ def map_tree(f: Callable[[P], Q], t: Tree[P]) -> Tree[Q]:
     """Apply f to every payload, preserving the skeleton."""
     if isinstance(t, Bin):
         return Bin(map_tree(f, t.left), map_tree(f, t.right))
+    if isinstance(t, TipS):
+        return TipS(f(t.payload))
     if isinstance(t, TipZ):
         return TipZ(f(t.payload))
-    return TipS(f(t.payload))
+    raise ShapeError(f"not a tree: {type(t).__name__}")
 
 
 def zip_with(f: Callable[[P, Q], R], t: Tree[P], u: Tree[Q]) -> Tree[R]:
@@ -139,29 +138,37 @@ def zip_with(f: Callable[[P, Q], R], t: Tree[P], u: Tree[Q]) -> Tree[R]:
         return TipZ(f(t.payload, u.payload))
     if isinstance(t, TipS) and isinstance(u, TipS):
         return TipS(f(t.payload, u.payload))
-    raise ShapeMismatch(f"cannot zip {type(t).__name__} with {type(u).__name__}")
+    raise ShapeError(f"cannot zip {type(t).__name__} with {type(u).__name__}")
 
 
 def un_tip(t: Tree[P]) -> P:
     """Payload of a tip; the inverse of TipZ/TipS construction."""
-    if isinstance(t, Bin):
-        raise NotATip("branch node has no single payload")
-    return t.payload
+    if isinstance(t, (TipZ, TipS)):
+        return t.payload
+    raise ShapeError(f"not a tip: {type(t).__name__}")
 
 
 def flatten(t: Tree[P]) -> tuple[P, ...]:
     """All payloads in left-to-right order."""
     acc: list[P] = []
-    _flatten_into(t, acc)
+    # a right subtree joins pending only while its left sibling, a branch,
+    # is walked, so a right spine (every children table) pushes nothing
+    pending = [t]
+    try:
+        while pending:
+            t = pending.pop()
+            while isinstance(t, Bin):
+                left = t.left
+                if isinstance(left, Bin):
+                    pending.append(t.right)
+                    t = left
+                else:
+                    acc.append(left.payload)
+                    t = t.right
+            acc.append(t.payload)
+    except AttributeError:  # only a non-node lacks .payload
+        raise ShapeError("not a tree") from None
     return tuple(acc)
-
-
-def _flatten_into(t: Tree[P], acc: list[P]) -> None:
-    # children tables are right spines: loop down right children, recurse into left
-    while isinstance(t, Bin):
-        _flatten_into(t.left, acc)
-        t = t.right
-    acc.append(t.payload)
 
 
 # --- text codec ------------------------------------------------------------
@@ -188,7 +195,10 @@ def encode(t: Tree[P]) -> str:
     Payloads may be unit, int, str, tuple or nested trees.
     """
     parts: list[str] = []
-    _encode_tree(t, parts, 1)
+    try:
+        _encode_tree(t, parts, 1)
+    except AttributeError:
+        raise ShapeError("not a tree") from None
     return "".join(parts)
 
 
@@ -349,7 +359,10 @@ def render_ascii(t: Tree[P]) -> str:
     other payloads fall back to the codec form.
     """
     lines: list[str] = []
-    _ascii_into(t, "", "", lines, 1)
+    try:
+        _ascii_into(t, "", "", lines, 1)
+    except AttributeError:
+        raise ShapeError("not a tree") from None
     return "\n".join(lines)
 
 

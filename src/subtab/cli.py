@@ -15,9 +15,9 @@ from random import Random
 from string import ascii_lowercase
 from typing import Callable, Sequence
 
-from .bintree import ParseError, Tree, encode, map_tree, render_ascii, un_tip
+from .bintree import ParseError, SizeLimit, Tree, encode, map_tree, render_ascii, un_tip
 from .induction import bu, run_instrumented, td
-from .problems import PROBLEMS, SizeLimit, get_problem, mix64
+from .problems import PROBLEMS, get_problem, mix64
 from .tabulate import (
     InvalidLevel,
     blank,

@@ -16,16 +16,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Generic, Sequence, TypeVar
 
 from .bintree import (
-    Bin, TipS, TipZ, Tree, UnknownName, flatten, is_tree, map_tree, un_tip, zip_with,
+    Bin, SizeLimit, TipS, TipZ, Tree, UnknownName, flatten, is_tree, map_tree, un_tip, zip_with,
 )
 from .tabulate import _level, choose, drop_ranks, retabulate
 
 E = TypeVar("E")
 S = TypeVar("S")
-
-
-class Overflow(OverflowError):
-    """A closed-form count was requested beyond its guard bound."""
 
 
 @dataclass(frozen=True)
@@ -180,8 +176,8 @@ def bu_call_count(n: int) -> int:
 
 
 def _guard(n: int, bound: int) -> int:
-    """n as a size argument, or Overflow when a count past bound is asked for."""
+    """n as a size argument, or SizeLimit when a count past bound is asked for."""
     n = _level(n, math.inf)
     if n > bound:
-        raise Overflow(f"count is astronomically large for n > {bound}")
+        raise SizeLimit(f"count is astronomically large for n > {bound}")
     return n

@@ -16,12 +16,14 @@ from typing import Iterator, Sequence, TypeVar
 
 from .bintree import (
     Bin,
+    ShapeError,
     TipS,
     TipZ,
     Tree,
     UNIT,
     flatten,
     map_tree,
+    un_tip,
     validate_shape,
     zip_with,
 )
@@ -38,10 +40,6 @@ class InvalidLevel(ValueError):
     Levels run over 0..n (0..n-1 where a level above must exist), sizes
     over the naturals; floats, strings and None never pass, bools do.
     """
-
-
-class ShapeError(ValueError):
-    """Input tree does not validate at the stated shape."""
 
 
 def _level(value: object, top: float) -> int:
@@ -120,8 +118,6 @@ def _retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
         if n == 1:
             return TipS(TipZ(t.payload))
         return Bin(_retabulate(n - 1, 0, t), TipZ(TipZ(t.payload)))
-    if not isinstance(t, Bin):
-        raise ShapeError("full-sublist tip has no level above it within its source")
     left, right = t.left, t.right
     if isinstance(left, TipS):
         return TipS(cons_table(left.payload, right))
@@ -201,10 +197,7 @@ def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:
         case Bin(TipZ(y) | TipS(y), TipZ(z) | TipS(z)):
             return TipS((y, z))
         case Bin(TipZ(y) | TipS(y), u):
-            rest = cd_classic(u)
-            if isinstance(rest, Bin):
-                raise ShapeError("right subtree did not reduce to a tip")
-            return TipS((y,) + rest.payload)
+            return TipS((y,) + un_tip(cd_classic(u)))
         case Bin(left, TipZ(z) | TipS(z)):
             return Bin(cd_classic(left), map_tree(lambda w: (w, z), left))
         case Bin(left, right):

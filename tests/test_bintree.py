@@ -7,15 +7,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
+import subtab
 from conftest import all_unit_trees, fill_tree, shaped_trees, unit_skeletons
 from subtab import (
     Bin,
-    NotATip,
-    ShapeMismatch,
+    ShapeError,
     TipS,
     TipZ,
     UNIT,
     blank,
+    cd_classic,
     choose,
     encode,
     flatten,
@@ -112,11 +113,11 @@ def test_zip_with_pairs_matching_positions():
 
 
 def test_zip_with_rejects_mismatched_skeletons():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeError):
         zip_with(lambda a, b: a, TipZ(1), TipS(1))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeError):
         zip_with(lambda a, b: a, Bin(TipS(1), TipZ(2)), TipZ(3))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeError):
         zip_with(
             lambda a, b: a,
             Bin(TipS(1), TipZ(2)),
@@ -134,7 +135,7 @@ def test_zip_projections(case):
 def test_un_tip_reads_both_tip_kinds():
     assert un_tip(TipZ("e")) == "e"
     assert un_tip(TipS((1, 2))) == (1, 2)
-    with pytest.raises(NotATip):
+    with pytest.raises(ShapeError):
         un_tip(Bin(TipS(1), TipZ(2)))
 
 
@@ -162,6 +163,84 @@ def test_flatten_and_size_walk_a_deep_right_spine():
         t = Bin(TipS(i), t)
     assert flatten(t) == tuple(range(5000, -1, -1))
     assert size(t) == 5001
+
+
+def _chain(bottom, grows_left):
+    """A 5000-deep chain up from bottom and its payloads; step i grows on
+    the left when grows_left(i)."""
+    t, payloads = bottom, [0]
+    for i in range(1, 5001):
+        if grows_left(i):
+            t = Bin(t, TipZ(i))
+            payloads.append(i)
+        else:
+            t = Bin(TipS(i), t)
+            payloads.insert(0, i)
+    return t, tuple(payloads)
+
+
+@pytest.mark.parametrize(
+    "bottom, grows_left, valid_at",
+    [
+        # a valid (n, 1) table is a left chain
+        (TipS(0), lambda i: True, (5001, 1)),
+        # at k = 1 the walk reaches the bottom before it finds the wrong tip
+        (TipZ(0), lambda i: True, None),
+        (TipS(0), lambda i: i % 2 == 1, None),
+    ],
+    ids=["left-chain", "left-chain-wrong-bottom", "alternating-chain"],
+)
+def test_deep_chains_flatten_size_and_validate(bottom, grows_left, valid_at):
+    t, payloads = _chain(bottom, grows_left)
+    assert flatten(t) == payloads
+    assert size(t) == 5001
+    for k in (1, 5000):
+        assert validate_shape(t, 5001, k) is ((5001, k) == valid_at)
+
+
+NON_TREES = [5, None, "Z(1)"]
+TREE_FUNCTIONS = {
+    "flatten": flatten,
+    "size": size,
+    "map_tree": lambda x: map_tree(str, x),
+    "zip_with": lambda x: zip_with(max, x, x),
+    "un_tip": un_tip,
+    "encode": encode,
+    "render_ascii": render_ascii,
+    "retabulate": lambda x: retabulate(2, 1, x),
+    "cd_classic": cd_classic,
+}
+
+
+@pytest.mark.parametrize("non_tree", NON_TREES, ids=repr)
+@pytest.mark.parametrize("name", sorted(TREE_FUNCTIONS))
+def test_tree_functions_reject_non_trees_with_shape_error(name, non_tree):
+    with pytest.raises(ShapeError):
+        TREE_FUNCTIONS[name](non_tree)
+
+
+@pytest.mark.parametrize("non_tree", NON_TREES, ids=repr)
+def test_tree_predicates_answer_false_for_non_trees(non_tree):
+    assert validate_shape(non_tree, 1, 0) is False
+    assert validate_shape(non_tree, 2, 1) is False
+    assert is_tree(non_tree) is False
+
+
+def test_non_trees_below_the_root_are_shape_errors():
+    for t in (Bin(5, TipZ(1)), Bin(Bin(TipS(1), None), TipZ(2))):
+        for name in ("flatten", "size", "map_tree", "encode", "render_ascii"):
+            with pytest.raises(ShapeError):
+                TREE_FUNCTIONS[name](t)
+
+
+def test_the_library_raises_five_value_error_classes():
+    exported = {
+        name
+        for name, obj in vars(subtab).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    assert exported == {"InvalidLevel", "ParseError", "ShapeError", "SizeLimit", "UnknownName"}
+    assert all(issubclass(getattr(subtab, name), ValueError) for name in exported)
 
 
 def test_is_tree():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from subtab import (
     PROBLEMS,
     Bin,
-    Overflow,
+    SizeLimit,
     Solver,
     TipS,
     TipZ,
@@ -200,9 +200,9 @@ def test_closed_form_values_frozen():
 
 def test_closed_form_guards():
     td_call_count(20)
-    with pytest.raises(Overflow):
+    with pytest.raises(SizeLimit):
         td_call_count(21)
-    with pytest.raises(Overflow):
+    with pytest.raises(SizeLimit):
         bu_call_count(63)
     with pytest.raises(ValueError):
         td_call_count(-1)

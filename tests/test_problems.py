@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from subtab import (
     Bin,
     InvalidLevel,
-    Overflow,
     PROBLEMS,
     SizeLimit,
     TipS,
@@ -71,7 +70,7 @@ def test_digest_is_sensitive_to_the_sequence():
 def test_subtree_count_closed_form():
     assert [subtree_count(m) for m in range(7)] == [1, 2, 5, 16, 65, 326, 1957]
     assert subtree_count(20) > 0
-    with pytest.raises(Overflow):
+    with pytest.raises(SizeLimit):
         subtree_count(21)
     with pytest.raises(ValueError):
         subtree_count(-1)
@@ -86,7 +85,7 @@ def test_subtree_count_solver_matches_oracle():
 
 def test_subtree_count_guards_long_inputs():
     p = subtree_count_problem()
-    with pytest.raises(Overflow):
+    with pytest.raises(SizeLimit):
         p.solver.g(tuple(range(21)), TipZ(1))
 
 

@@ -184,6 +184,12 @@ def test_cd_classic_rejects_bare_tips():
         cd_classic(TipS("x"))
 
 
+def test_cd_classic_rejects_a_right_subtree_that_stays_a_branch():
+    # a tip beside a right subtree that does not raise to a single tip
+    with pytest.raises(ShapeError):
+        cd_classic(Bin(TipS(1), Bin(Bin(TipS(2), TipZ(3)), TipZ(4))))
+
+
 def test_level_raising_equation_sweep():
     for n in range(1, 8):
         for k in range(n):
