@@ -13,7 +13,7 @@ Nothing validates at k > n.  Trees are immutable and compare structurally.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Callable, Generic, TypeVar, Union
 
 P = TypeVar("P")
@@ -60,35 +60,123 @@ class _Unit:
 UNIT = _Unit()
 
 
-@dataclass(frozen=True, slots=True)
-class TipZ(Generic[P]):
+class _Node:
+    """Base of the three node classes: frozen, slotted, and compared, hashed
+    and printed by class and fields.
+
+    Equality, hashing and repr walk an explicit stack, so they work on
+    trees of any depth, payload trees included.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return self.__class__, self._fields()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is b:
+                continue
+            if isinstance(a, _Node) and a.__class__ is b.__class__:
+                pending.extend(zip(reversed(a._fields()), reversed(b._fields())))
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        # each class has a fixed number of fields, so the preorder of
+        # classes and payloads determines the tree
+        parts: list[object] = []
+        pending: list[object] = [self]
+        while pending:
+            x = pending.pop()
+            if isinstance(x, _Node):
+                parts.append(x.__class__)
+                pending.extend(reversed(x._fields()))
+            else:
+                parts.append(x)
+        return hash(tuple(parts))
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        # nodes still to print, and text already rendered, last item first
+        pending: list[object] = [self]
+        while pending:
+            x = pending.pop()
+            if not isinstance(x, _Node):
+                parts.append(x)
+                continue
+            parts.append(f"{x.__class__.__qualname__}(")
+            pending.append(")")
+            names, values = x.__match_args__, x._fields()
+            for i in range(len(names) - 1, -1, -1):
+                value = values[i]
+                pending.append(value if isinstance(value, _Node) else repr(value))
+                pending.append(f", {names[i]}=" if i else f"{names[i]}=")
+        return "".join(parts)
+
+
+class TipZ(_Node, Generic[P]):
     """Tip of a (n, 0) tree: payload for the empty sublist."""
 
+    __slots__ = ("payload",)
+    __match_args__ = ("payload",)
     payload: P
 
+    def __init__(self, payload: P) -> None:
+        _set_tipz(self, payload)
 
-@dataclass(frozen=True, slots=True)
-class TipS(Generic[P]):
+
+class TipS(_Node, Generic[P]):
     """Tip of a (n, n) tree with n >= 1: payload for the full sublist."""
 
+    __slots__ = ("payload",)
+    __match_args__ = ("payload",)
     payload: P
 
+    def __init__(self, payload: P) -> None:
+        _set_tips(self, payload)
 
-@dataclass(frozen=True, slots=True)
-class Bin(Generic[P]):
+
+class Bin(_Node, Generic[P]):
     """Branch of a (n, k) tree with 0 < k < n."""
 
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
     left: "Tree[P]"
     right: "Tree[P]"
 
+    def __init__(self, left: "Tree[P]", right: "Tree[P]") -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+# __init__ stores through the slot descriptors, bypassing the frozen
+# __setattr__; bu builds n * 2^(n-1) nodes, so this is its largest cost
+_set_tipz = TipZ.payload.__set__
+_set_tips = TipS.payload.__set__
+_set_left = Bin.left.__set__
+_set_right = Bin.right.__set__
 
 Tree = Union[TipZ[P], TipS[P], Bin[P]]
 
-_NODE_TYPES = (TipZ, TipS, Bin)
-
 
 def is_tree(x: object) -> bool:
-    return isinstance(x, _NODE_TYPES)
+    return isinstance(x, _Node)
 
 
 def validate_shape(t: Tree[P], n: int, k: int) -> bool:

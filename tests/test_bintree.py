@@ -1,6 +1,9 @@
 """Shape discipline, payload operations and the ascii picture."""
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from math import comb
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from subtab import (
     ShapeError,
     TipS,
     TipZ,
+    Tree,
     UNIT,
     blank,
     cd_classic,
@@ -179,7 +183,7 @@ def _chain(bottom, grows_left):
     return t, tuple(payloads)
 
 
-@pytest.mark.parametrize(
+DEEP_CHAINS = pytest.mark.parametrize(
     "bottom, grows_left, valid_at",
     [
         # a valid (n, 1) table is a left chain
@@ -190,12 +194,49 @@ def _chain(bottom, grows_left):
     ],
     ids=["left-chain", "left-chain-wrong-bottom", "alternating-chain"],
 )
+
+
+@DEEP_CHAINS
 def test_deep_chains_flatten_size_and_validate(bottom, grows_left, valid_at):
     t, payloads = _chain(bottom, grows_left)
     assert flatten(t) == payloads
     assert size(t) == 5001
     for k in (1, 5000):
         assert validate_shape(t, 5001, k) is ((5001, k) == valid_at)
+
+
+def _assert_compares_hashes_and_reprs(make, other):
+    """Two builds of make() are equal, hash alike and repr alike; other
+    differs from them only deep down."""
+    t, u = make(), make()
+    assert t is not u
+    assert t == u and not t != u
+    assert hash(t) == hash(u)
+    assert repr(t) == repr(u)
+    assert t != other and not t == other
+
+
+@DEEP_CHAINS
+def test_deep_chains_compare_hash_and_repr(bottom, grows_left, valid_at):
+    other_bottom = TipZ(0) if isinstance(bottom, TipS) else TipS(0)
+    _assert_compares_hashes_and_reprs(
+        lambda: _chain(bottom, grows_left)[0], _chain(other_bottom, grows_left)[0]
+    )
+
+
+def test_deep_tables_and_payload_chains_compare_hash_and_repr():
+    table = choose(1, "a" * 900)
+    assert repr(table).count("Bin(") == 899
+    _assert_compares_hashes_and_reprs(lambda: choose(1, "a" * 900), choose(1, "a" * 899 + "b"))
+
+    def payload_chain(bottom):
+        t = TipZ(bottom)
+        for i in range(5000):
+            t = (TipS if i % 2 else TipZ)(t)
+        return t
+
+    assert repr(payload_chain(1)).endswith("(payload=1" + ")" * 5001)
+    _assert_compares_hashes_and_reprs(lambda: payload_chain(1), payload_chain(2))
 
 
 NON_TREES = [5, None, "Z(1)"]
@@ -246,6 +287,54 @@ def test_the_library_raises_five_value_error_classes():
 def test_is_tree():
     assert is_tree(TipZ(0)) and is_tree(TipS(0)) and is_tree(Bin(TipS(0), TipZ(0)))
     assert not is_tree("Z(0)") and not is_tree(None)
+
+
+NODES = [TipZ(1), TipS("s"), Bin(TipS((1, 2)), TipZ(UNIT))]
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_nodes_are_frozen_slotted_and_copy_and_pickle(node):
+    for name in node.__match_args__:
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
+    assert not hasattr(node, "__dict__") and not hasattr(node, "__weakref__")
+    clones = [pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)]
+    for clone in clones:
+        assert type(clone) is type(node)
+        assert clone == node and hash(clone) == hash(node)
+
+
+def test_nodes_compare_by_class_and_fields():
+    assert TipZ(1) == TipZ(1) and TipZ(1) != TipZ(2)
+    assert TipZ(1) != TipS(1)
+    assert TipZ(1) != (1,)
+    assert TipZ(1).__eq__(1) is NotImplemented
+    assert Bin(TipS(1), TipZ(2)).__eq__((TipS(1), TipZ(2))) is NotImplemented
+    assert not isinstance(TipS(1), TipZ) and not isinstance(TipZ(1), TipS)
+    assert len({choose(2, "abcd"), choose(2, "abcd"), choose(2, "abce")}) == 2
+
+
+def test_node_construction_repr_and_typing():
+    assert repr(choose(2, "abcd")) == (
+        "Bin(left=Bin(left=TipS(payload='cd'), right=Bin(left=TipS(payload='bd'), "
+        "right=TipZ(payload='bc'))), right=Bin(left=Bin(left=TipS(payload='ad'), "
+        "right=TipZ(payload='ac')), right=TipZ(payload='ab')))"
+    )
+    assert Bin(left=TipS(payload=1), right=TipZ(payload=2)) == Bin(TipS(1), TipZ(2))
+    assert TipZ[int].__origin__ is TipZ
+    assert Tree[int] == Tree[int]
+    assert Bin.__match_args__ == ("left", "right")
+    assert TipZ.__match_args__ == TipS.__match_args__ == ("payload",)
+
+
+def test_subscripted_classes_construct_and_new_attributes_are_frozen():
+    assert TipZ[int](3) == TipZ(3)
+    assert Bin[str](TipS("b"), TipZ("a")) == Bin(TipS("b"), TipZ("a"))
+    for node in NODES:
+        with pytest.raises(FrozenInstanceError):
+            node.extra = 0
 
 
 def test_unit_tree_of_each_shape_is_unique():
