@@ -61,8 +61,8 @@ UNIT = _Unit()
 
 
 class _Node:
-    """Base of the three node classes: frozen, slotted, and compared, hashed
-    and printed by class and fields.
+    """Base of the three node classes: final, frozen, slotted, and compared,
+    hashed and printed by class and fields.
 
     Equality, hashing and repr walk an explicit stack, so they work on
     trees of any depth, payload trees included.
@@ -70,6 +70,12 @@ class _Node:
 
     __slots__ = ()
     __match_args__: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        # TipZ, TipS and Bin are final: the tree walks test exact classes
+        if any(base is not _Node and issubclass(base, _Node) for base in cls.__bases__):
+            raise TypeError(f"tree node classes cannot be subclassed: {cls.__name__}")
+        super().__init_subclass__(**kwargs)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -209,23 +215,19 @@ def size(t: Tree[P]) -> int:
 
 def map_tree(f: Callable[[P], Q], t: Tree[P]) -> Tree[Q]:
     """Apply f to every payload, preserving the skeleton."""
-    if isinstance(t, Bin):
+    if t.__class__ is Bin:
         return Bin(map_tree(f, t.left), map_tree(f, t.right))
-    if isinstance(t, TipS):
-        return TipS(f(t.payload))
-    if isinstance(t, TipZ):
-        return TipZ(f(t.payload))
+    if t.__class__ is TipZ or t.__class__ is TipS:
+        return t.__class__(f(t.payload))
     raise ShapeError(f"not a tree: {type(t).__name__}")
 
 
 def zip_with(f: Callable[[P, Q], R], t: Tree[P], u: Tree[Q]) -> Tree[R]:
     """Combine two trees with identical skeletons payload by payload."""
-    if isinstance(t, Bin) and isinstance(u, Bin):
+    if t.__class__ is Bin and u.__class__ is Bin:
         return Bin(zip_with(f, t.left, u.left), zip_with(f, t.right, u.right))
-    if isinstance(t, TipZ) and isinstance(u, TipZ):
-        return TipZ(f(t.payload, u.payload))
-    if isinstance(t, TipS) and isinstance(u, TipS):
-        return TipS(f(t.payload, u.payload))
+    if t.__class__ is u.__class__ and (t.__class__ is TipZ or t.__class__ is TipS):
+        return t.__class__(f(t.payload, u.payload))
     raise ShapeError(f"cannot zip {type(t).__name__} with {type(u).__name__}")
 
 
@@ -245,9 +247,9 @@ def flatten(t: Tree[P]) -> tuple[P, ...]:
     try:
         while pending:
             t = pending.pop()
-            while isinstance(t, Bin):
+            while t.__class__ is Bin:
                 left = t.left
-                if isinstance(left, Bin):
+                if left.__class__ is Bin:
                     pending.append(t.right)
                     t = left
                 else:

@@ -55,12 +55,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidLevel) as exc:
+    except (ParseError, InvalidLevel, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SizeLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_LIMIT
+        return EXIT_SIZE_LIMIT if isinstance(exc, SizeLimit) else EXIT_USAGE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -268,10 +265,7 @@ def _parse_elements(
 ) -> tuple:
     if text == "":
         return ()
-    if "," in text:
-        tokens = text.split(",")
-    else:
-        tokens = list(text)
+    tokens = text.split(",") if "," in text else list(text)
     out = []
     offset = 0
     for token in tokens:

@@ -18,7 +18,7 @@ from typing import Callable, Generic, Sequence, TypeVar
 from .bintree import (
     Bin, SizeLimit, TipS, TipZ, Tree, UnknownName, flatten, is_tree, map_tree, un_tip, zip_with,
 )
-from .tabulate import _level, choose, drop_ranks, retabulate
+from .tabulate import _drop_runs, _level, choose, retabulate
 
 E = TypeVar("E")
 S = TypeVar("S")
@@ -54,12 +54,13 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
     """Bottom-up: sweep the sublist lattice one level at a time.
 
     Level k is a flat list of the answers for all k-sublists, in
-    flatten(choose(k, xs)) order, beside a list of those sublists.  Each
-    (k+1)-sublist gathers its children table from level k at the indices
-    drop_ranks gives; the keys are built the way choose builds them, so g
-    sees the same sublists, tables and call order as under bu_spec.  Each
-    sublist is answered once, and only two levels are ever live.  Each
-    answer's TipS is shared by all its parents' tables: trees are immutable.
+    flatten(choose(k, xs)) order, beside a list of those sublists.  Level
+    k+1 is built by the runs of tabulate._drop_runs: the sublists of a run
+    share their children table's TipZ, the answer for their common
+    prefix, and extend its key by one element, so g sees the same
+    sublists, tables and call order as under bu_spec.  Each sublist is
+    answered once, and only two levels are ever live.  Each answer's TipS
+    is shared by all its parents' tables: trees are immutable.
     """
     n = len(xs)
     g = solver.g
@@ -69,13 +70,17 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
         tips = [TipS(a) for a in level]
         answers: list[S] = []
         sublists: list[Sequence[E]] = []
-        for first, ranks in drop_ranks(n, k):
-            children: Tree[S] = TipZ(level[ranks[k]])
-            for i in range(k - 1, -1, -1):
-                children = Bin(tips[ranks[i]], children)
-            ys = xs[first : first + 1] + keys[ranks[0]]
-            sublists.append(ys)
-            answers.append(g(ys, children))
+        for prefix, starts, length in _drop_runs(n, k):
+            last = TipZ(level[prefix])
+            key = keys[prefix]
+            starts.reverse()  # each spine is built from its TipZ up
+            for t in range(length):
+                children: Tree[S] = last
+                for s in starts:
+                    children = Bin(tips[s + t], children)
+                ys = key + xs[n - 1 - t : n - t]
+                sublists.append(ys)
+                answers.append(g(ys, children))
         level, keys = answers, sublists
     return level[0]
 
@@ -133,7 +138,7 @@ def run_instrumented(
     """
     try:
         driver, layers = _DRIVERS[alg]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownName(f"unknown algorithm {alg!r}; expected 'td' or 'bu'") from None
 
     stats = CallStats(peak_nesting=layers)

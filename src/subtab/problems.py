@@ -148,7 +148,7 @@ def brute_force_removal_oracle(cost: str, xs: Seq) -> Any:
 def _step_fn(cost: str) -> Callable[[Seq], Any]:
     try:
         return _STEPS[cost]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownName(f"unknown cost kind {cost!r}; expected 'sum' or 'max'") from None
 
 
@@ -162,6 +162,7 @@ PROBLEMS: dict[str, Callable[[], Problem]] = {
 
 def get_problem(name: str) -> Problem:
     try:
-        return PROBLEMS[name]()
-    except KeyError:
+        make = PROBLEMS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise UnknownName(f"unknown problem {name!r}") from None
+    return make()

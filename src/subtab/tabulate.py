@@ -4,7 +4,7 @@ Level k of the lattice over an n-element source is the family of its
 k-element sublists, tabulated in a binomial-shaped tree.  `choose` builds
 the table, `blank` its payload-free skeleton, and `retabulate` raises a
 level-k table to level k+1 by grouping, for each (k+1)-sublist, the
-entries at all of its immediate sublists.  `drop_ranks` does the same
+entries at all of its immediate sublists.  `_drop_runs` does the same
 grouping for levels stored as flat lists in flatten order, by index
 arithmetic alone.
 """
@@ -75,17 +75,17 @@ def _choose(k: int, xs: Seq[E], chosen: Seq[E]) -> Tree[Seq[E]]:
 
 
 def blank(n: int, k: int) -> Tree[object]:
-    """The unique unit-payload tree of shape (n, k)."""
+    """The unique unit-payload tree of shape (n, k), built bottom-up with
+    equal subtrees shared: O(n * min(k, n - k) + n) nodes, no recursion."""
     n = _level(n, math.inf)
-    return _blank(n, _level(k, n))
-
-
-def _blank(n: int, k: int) -> Tree[object]:
-    if k == 0:
-        return TipZ(UNIT)
-    if k == n:
-        return TipS(UNIT)
-    return Bin(_blank(n - 1, k), _blank(n - 1, k - 1))
+    k = _level(k, n)
+    zero, full = TipZ(UNIT), TipS(UNIT)
+    lo, row = 0, [zero]  # row[i] is blank(m, lo + i), for the k' that (n, k) reaches
+    for m in range(1, n + 1):
+        row = [zero if j == 0 else full if j == m else Bin(row[j - lo], row[j - 1 - lo])
+               for j in range(max(0, k - n + m), min(k, m) + 1)]
+        lo = max(0, k - n + m)
+    return row[0]
 
 
 def cons_table(y: P, t: Tree[P]) -> Tree[P]:
@@ -132,39 +132,37 @@ def _retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
     )
 
 
-def drop_ranks(n: int, k: int) -> Iterator[tuple[int, list[int]]]:
+def _drop_runs(n: int, k: int) -> Iterator[tuple[int, list[int], int]]:
     """Where the immediate sublists of each (k+1)-sublist sit in level k.
 
-    A flat level-m table of an n-element source lists its m-sublists in
-    flatten(choose(m, xs)) order; the sorted position set
-    p_0 < ... < p_{m-1} sits at index sum_j C(n-1-p_j, m-j).  For each
-    (k+1)-position set p, in level-(k+1) order, yields p_0 and the
-    level-k indices of p minus p_i for i = 0..k, which is the order of
-    choose(k, p).  Looking those indices up in flatten(t) gives the
-    flattened payloads of retabulate(n, k, t).  k runs over 0..n-1.
-    Ranks are computed as the sweep runs; nothing is kept between calls.
+    A flat level-m table lists the m-position sets of range(n) in
+    flatten(choose(m, ...)) order, p_0 < ... < p_{m-1} at index
+    sum_j C(n-1-p_j, m-j).  In level k+1's order the sets sharing
+    p_0..p_{k-1} are consecutive, a run, with p_k = n-1-t for t in
+    range(length).  Per run, yields (prefix, starts, length): p minus p_k
+    is at level-k index prefix, p minus p_i (i < k) at starts[i] + t.
+    k runs over 0..n-1; k = 0 is one run with an empty prefix.
     """
     n = _level(n, math.inf)
-    return _drop_ranks(n, _level(k, n - 1))
-
-
-def _drop_ranks(n: int, k: int) -> Iterator[tuple[int, list[int]]]:
-    m = k + 1
-    pascal = [[math.comb(x, j) for j in range(m + 1)] for x in range(n)]
-    for rank, p in enumerate(_table_order(n, m)):
-        # The index of p minus p_i is sum_{j<i} C(n-1-p_j, k-j) plus
-        # sum_{j>i} C(n-1-p_j, m-j); acc holds the first sum plus
-        # sum_{j>=i} of the second, which at i = 0 is p's own index.
-        acc = rank
-        ranks = []
-        j = m
+    k = _level(k, n - 1)
+    pascal = [[math.comb(x, j) for j in range(k + 2)] for x in range(n)]
+    run = 0  # level-(k+1) index of the run's first set, where t = 0
+    for p in _table_order(n - 1, k):
+        # starts[i] is sum_{j<i} C(n-1-p_j, k-j) plus sum_{i<j<k}
+        # C(n-1-p_j, k+1-j); acc holds the first sum plus sum_{j>=i} of
+        # the second, which at i = 0 is run and at i = k is the prefix
+        acc = run
+        starts = []
+        j = k + 1
         for x in p:
             row = pascal[n - 1 - x]
             term = row[j]
-            ranks.append(acc - term)
+            starts.append(acc - term)
             j -= 1
             acc += row[j] - term
-        yield p[0], ranks
+        length = n - 1 - p[-1] if p else n
+        yield acc, starts, length
+        run += length
 
 
 def _table_order(n: int, m: int) -> Iterator[list[int]]:

@@ -306,6 +306,25 @@ def test_nodes_are_frozen_slotted_and_copy_and_pickle(node):
         assert clone == node and hash(clone) == hash(node)
 
 
+def test_node_classes_are_final():
+    for cls in (TipZ, TipS, Bin):
+        with pytest.raises(TypeError):
+            type("Sub", (cls,), {"__slots__": ()})
+    with pytest.raises(TypeError):
+        class X(Bin):
+            pass
+
+    # generic aliases, pickle and match patterns do not subclass
+    assert TipZ[int](3) == TipZ(3) and TipS[str]("s") == TipS("s")
+    t = Bin(TipS(1), TipZ(2))
+    assert pickle.loads(pickle.dumps(t)) == t
+    match t:
+        case Bin(TipS(y), TipZ(z)):
+            assert (y, z) == (1, 2)
+        case _:
+            pytest.fail("Bin(TipS, TipZ) pattern did not match")
+
+
 def test_nodes_compare_by_class_and_fields():
     assert TipZ(1) == TipZ(1) and TipZ(1) != TipZ(2)
     assert TipZ(1) != TipS(1)

@@ -106,6 +106,30 @@ def test_bu_shares_one_tip_per_answer():
             assert len(tips) <= comb(n, k)
 
 
+def test_bu_shares_one_last_tip_per_run():
+    kept = []
+
+    def g(ys, children):
+        kept.append((len(ys), children))
+        return ys
+
+    # (k+1)-sublists sharing their first k positions share the TipZ
+    # holding that prefix's answer; every table stays alive, so no object
+    # id is reused
+    for n in range(9):
+        kept.clear()
+        bu(Solver(e=lambda: (), g=g), tuple(range(n)))
+        for k in range(n):
+            lasts = set()
+            for size, children in kept:
+                if size == k + 1:
+                    while isinstance(children, Bin):
+                        children = children.right
+                    assert isinstance(children, TipZ)
+                    lasts.add(id(children))
+            assert len(lasts) <= comb(n - 1, k)
+
+
 def test_driver_agreement_catches_order_dependence():
     # a solver digesting children in order disagrees across drivers if
     # either driver permutes a children table

@@ -19,6 +19,7 @@ from subtab import (
     digest_problem,
     get_problem,
     min_removal_problem,
+    run_instrumented,
     subtree_count,
     subtree_count_problem,
     td,
@@ -38,6 +39,18 @@ def test_registry():
         get_problem("knapsack")
     with pytest.raises(UnknownName):
         get_problem("knapsack")
+
+
+@pytest.mark.parametrize("name", [[], {}], ids=["list", "dict"])
+def test_unhashable_names_are_unknown(name):
+    with pytest.raises(UnknownName):
+        get_problem(name)
+    with pytest.raises(UnknownName):
+        min_removal_problem(name)
+    with pytest.raises(UnknownName):
+        brute_force_removal_oracle(name, (1, 2))
+    with pytest.raises(UnknownName):
+        run_instrumented(name, digest_problem().solver, (1, 2))
 
 
 def test_mix64_is_a_stable_64_bit_value():

@@ -30,7 +30,7 @@ from subtab import (
     td_call_count,
     validate_shape,
 )
-from subtab.tabulate import drop_ranks
+from subtab.tabulate import _drop_runs
 
 # hand-expanded from the shape rules, payload by payload
 CHOOSE_1_ABC = Bin(Bin(TipS("c"), TipZ("b")), TipZ("a"))
@@ -75,6 +75,17 @@ def test_choose_rejects_impossible_levels():
         choose(3, "ab")
     with pytest.raises(InvalidLevel):
         choose(-1, "ab")
+
+
+def test_blank_is_the_unit_table_of_choose():
+    for n in range(11):
+        for k in range(n + 1):
+            assert blank(n, k) == map_tree(lambda _: UNIT, choose(k, tuple(range(n))))
+
+
+def test_blank_does_not_recurse_per_element():
+    for n, k in [(5000, 1), (5000, 4999)]:
+        assert validate_shape(blank(n, k), n, k)
 
 
 def test_blank_shapes_and_sizes():
@@ -213,21 +224,32 @@ def test_rotation_sweep():
         check_rotation(3, 3)
 
 
-def test_drop_ranks_match_retabulating_an_index_table():
+def _expand_runs(n, k):
+    """Per (k+1)-sublist, in level-(k+1) order: the level-k index of its
+    prefix, its last position and the level-k indices of its children."""
+    for prefix, starts, length in _drop_runs(n, k):
+        for t in range(length):
+            yield prefix, n - 1 - t, [s + t for s in starts] + [prefix]
+
+
+def test_drop_runs_match_retabulating_an_index_table():
     for n in range(1, 11):
         for k in range(n):
             indices = fill_tree(n, k, range(comb(n, k)))
             raised = [list(flatten(t)) for t in flatten(retabulate(n, k, indices))]
-            plan = list(drop_ranks(n, k))
-            assert [ranks for _, ranks in plan] == raised
-            firsts = [ys[0] for ys in flatten(choose(k + 1, tuple(range(n))))]
-            assert [first for first, _ in plan] == firsts
+            plan = list(_expand_runs(n, k))
+            assert [ranks for _, _, ranks in plan] == raised
+            # each (k+1)-sublist is its prefix's key plus its last position
+            keys = flatten(choose(k, tuple(range(n))))
+            built = [keys[prefix] + (last,) for prefix, last, _ in plan]
+            assert built == list(flatten(choose(k + 1, tuple(range(n)))))
+            assert len(list(_drop_runs(n, k))) == comb(n - 1, k)
 
 
-def test_drop_ranks_rejects_levels_with_nothing_above():
+def test_drop_runs_rejects_levels_with_nothing_above():
     for n, k in [(0, 0), (3, 3), (3, -1)]:
         with pytest.raises(InvalidLevel):
-            drop_ranks(n, k)
+            list(_drop_runs(n, k))
 
 
 # each public call that takes a level or size, with that argument left open
@@ -237,8 +259,8 @@ LEVEL_ARGUMENTS = {
     "blank-k": lambda k: blank(3, k),
     "retabulate-n": lambda n: retabulate(n, 0, TipZ("x")),
     "retabulate-k": lambda k: retabulate(3, k, CHOOSE_1_ABC),
-    "drop_ranks-n": lambda n: list(drop_ranks(n, 0)),
-    "drop_ranks-k": lambda k: list(drop_ranks(3, k)),
+    "drop_runs-n": lambda n: list(_drop_runs(n, 0)),
+    "drop_runs-k": lambda k: list(_drop_runs(3, k)),
     "check_spec_equation": lambda k: check_spec_equation(k, "abc"),
     "check_rotation-n": lambda n: check_rotation(n, 0),
     "check_rotation-k": lambda k: check_rotation(3, k),
