@@ -49,10 +49,11 @@ from .tabulate import (
     InvalidLevel,
     blank,
     cd_classic,
+    check_functor_laws,
+    check_naturality,
     check_rotation,
     check_spec_equation,
     choose,
-    cons_table,
     retabulate,
 )
 

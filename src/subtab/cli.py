@@ -15,16 +15,17 @@ from random import Random
 from string import ascii_lowercase
 from typing import Callable, Sequence
 
-from .bintree import ParseError, SizeLimit, Tree, encode, map_tree, render_ascii, un_tip
+from .bintree import ParseError, SizeLimit, Tree, encode, map_tree, render_ascii
 from .induction import bu, run_instrumented, td
 from .problems import PROBLEMS, get_problem, mix64
 from .tabulate import (
     InvalidLevel,
     blank,
+    check_functor_laws,
+    check_naturality,
     check_rotation,
     check_spec_equation,
     choose,
-    retabulate,
 )
 
 EXIT_OK = 0
@@ -32,10 +33,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SIZE_LIMIT = 3
 
-_ALG_MAX_N = {"td": 9, "bu": 20}
-# choose recurses once per element and a middle k prints C(n, k) entries,
-# so render stops where bu does
-_RENDER_MAX_N = _ALG_MAX_N["bu"]
+# the most elements each driver and render takes: choose recurses once
+# per element and a middle k prints C(n, k) entries, so render stops
+# where bu does
+_MAX_N = {"td": 9, "bu": 20, "render": 20}
 
 _INT_TOKEN = re.compile("-?[0-9]+")
 
@@ -70,15 +71,15 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the law suites and report JSON")
     verify.add_argument(
         "--n",
-        type=_bounded_int(0, 10),
+        type=_int_option(0, 10),
         required=True,
         help="largest source size to sweep (0..10)",
     )
-    verify.add_argument("--seed", type=_int_option, default=0, help="seed for random cases")
+    verify.add_argument("--seed", type=_int_option(), default=0, help="seed for random cases")
     verify.set_defaults(func=_cmd_verify)
 
     bench = sub.add_parser("bench", help="run one driver instrumented, report JSON")
-    bench.add_argument("--n", type=_bounded_int(0, None), required=True)
+    bench.add_argument("--n", type=_int_option(0), required=True)
     bench.add_argument("--alg", choices=("td", "bu"), required=True)
     bench.add_argument("--problem", choices=sorted(PROBLEMS), required=True)
     bench.set_defaults(func=_cmd_bench)
@@ -95,25 +96,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     render = sub.add_parser("render", help="print the table of k-sublists")
     render.add_argument("--input", required=True, help="source string, one element per character")
-    render.add_argument("--k", type=_int_option, required=True, help="sublist size to tabulate")
+    render.add_argument("--k", type=_int_option(), required=True, help="sublist size to tabulate")
     render.add_argument("--format", choices=("text", "ascii"), default="text")
     render.set_defaults(func=_cmd_render)
 
     return parser
 
 
-def _int_option(text: str) -> int:
-    """_ascii_int for option values; argparse prints this error as is."""
-    try:
-        return _ascii_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _bounded_int(lo: int, hi: int | None) -> Callable[[str], int]:
+def _int_option(lo: int | None = None, hi: int | None = None) -> Callable[[str], int]:
+    """_ascii_int for option values in lo..hi; argparse prints its errors as is."""
     def parse(text: str) -> int:
-        value = _int_option(text)
-        if value < lo or (hi is not None and value > hi):
+        try:
+            value = _ascii_int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if (lo is not None and value < lo) or (hi is not None and value > hi):
             top = "" if hi is None else f" and at most {hi}"
             raise argparse.ArgumentTypeError(f"must be at least {lo}{top}")
         return value
@@ -126,9 +123,11 @@ def _bounded_int(lo: int, hi: int | None) -> Callable[[str], int]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     rng = Random(args.seed)
+    levels = [(n, k) for n in range(1, args.n + 1) for k in range(n)]
+    spec = [check_spec_equation(k, ascii_lowercase[:n]) for n, k in levels]
     suites = [
-        ("level-raising-equation", _sweep_level_raising(args.n)),
-        ("rotation", _sweep_rotation(args.n)),
+        ("level-raising-equation", _tally(spec)),
+        ("rotation", _tally([check_rotation(n, k) for n, k in levels])),
         ("functor-laws", _sweep_functor(args.n, rng)),
         ("naturality", _sweep_naturality(args.n, rng)),
         ("driver-agreement", _sweep_agreement(args.n, rng)),
@@ -146,60 +145,26 @@ def _tally(results: list[bool]) -> tuple[int, int]:
     return sum(results), len(results) - sum(results)
 
 
-def _sweep_level_raising(max_n: int) -> tuple[int, int]:
-    results = [
-        check_spec_equation(k, ascii_lowercase[:n])
-        for n in range(1, max_n + 1)
-        for k in range(n)
-    ]
-    return _tally(results)
-
-
-def _sweep_rotation(max_n: int) -> tuple[int, int]:
-    results = [
-        check_rotation(n, k) for n in range(1, max_n + 1) for k in range(n)
-    ]
-    return _tally(results)
-
-
 def _random_tree(rng: Random, n: int, k: int) -> Tree[int]:
     return map_tree(lambda _: rng.randrange(1_000_000), blank(n, k))
 
 
 def _sweep_functor(max_n: int, rng: Random) -> tuple[int, int]:
-    def f(v: int) -> int:
-        return 2 * v + 1
-
-    def g(v: int) -> int:
-        return v * v - 3
-
-    results = []
+    results: list[bool] = []
     for _ in range(100):
         n = rng.randint(0, max_n)
-        k = rng.randint(0, n)
-        t = _random_tree(rng, n, k)
-        results.append(map_tree(lambda v: v, t) == t)
-        results.append(
-            map_tree(lambda v: f(g(v)), t) == map_tree(f, map_tree(g, t))
-        )
+        t = _random_tree(rng, n, rng.randint(0, n))
+        results += check_functor_laws(t, lambda v: 2 * v + 1, lambda v: v * v - 3)
     return _tally(results)
 
 
 def _sweep_naturality(max_n: int, rng: Random) -> tuple[int, int]:
-    def f(v: int) -> int:
-        return 3 * v + 7
-
-    results = []
+    results: list[bool] = []
     for _ in range(100):
         n = rng.randint(1, max(max_n, 1))
         k = rng.randint(0, n - 1)
-        t = _random_tree(rng, n, k)
-        results.append(
-            retabulate(n, k, map_tree(f, t))
-            == map_tree(lambda inner: map_tree(f, inner), retabulate(n, k, t))
-        )
-        tip = _random_tree(rng, n, n)
-        results.append(f(un_tip(tip)) == un_tip(map_tree(f, tip)))
+        t, tip = _random_tree(rng, n, k), _random_tree(rng, n, n)
+        results += check_naturality(n, k, t, tip, lambda v: 3 * v + 7)
     return _tally(results)
 
 
@@ -216,19 +181,12 @@ def _sweep_agreement(max_n: int, rng: Random) -> tuple[int, int]:
 # --- bench / solve ----------------------------------------------------------
 
 
-def _check_driver_size(alg: str, n: int) -> None:
-    bound = _ALG_MAX_N[alg]
-    if n > bound:
-        raise SizeLimit(f"{alg} is limited to {bound} elements, got {n}")
+def _check_size(what: str, n: int) -> None:
+    if n > _MAX_N[what]:
+        raise SizeLimit(f"{what} is limited to {_MAX_N[what]} elements, got {n}")
 
 
-def _result_digest(result: object) -> str:
-    return format(mix64(repr(result).encode()), "016x")
-
-
-def _stats_report(
-    problem: str, alg: str, xs: Sequence, result: object, stats
-) -> dict:
+def _stats_report(problem: str, alg: str, xs: Sequence, result: object, stats) -> dict:
     return {
         "n": len(xs),
         "alg": alg,
@@ -237,12 +195,12 @@ def _stats_report(
         "e_calls": stats.e_calls,
         "peak_nesting": stats.peak_nesting,
         "wall_ns": stats.wall_ns,
-        "result_digest": _result_digest(result),
+        "result_digest": format(mix64(repr(result).encode()), "016x"),
     }
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    _check_driver_size(args.alg, args.n)
+    _check_size(args.alg, args.n)
     problem = get_problem(args.problem)
     xs = problem.generator(args.n, 0)
     result, stats = run_instrumented(args.alg, problem.solver, xs)
@@ -253,19 +211,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = get_problem(args.problem)
     xs = _parse_elements(args.input, _ascii_int if problem.domain == "numbers" else str)
-    _check_driver_size(args.alg, len(xs))
+    _check_size(args.alg, len(xs))
     result, stats = run_instrumented(args.alg, problem.solver, xs)
     print(result)
     print(json.dumps(_stats_report(args.problem, args.alg, xs, result, stats)))
     return EXIT_OK
 
 
-def _parse_elements(
-    text: str, parse_element: Callable[[str], object]
-) -> tuple:
-    if text == "":
-        return ()
-    tokens = text.split(",") if "," in text else list(text)
+def _parse_elements(text: str, parse_element: Callable[[str], object]) -> tuple:
+    """The elements of text, split at commas or, with none, per character."""
+    sep = "," if "," in text else ""
+    tokens = text.split(sep) if sep else list(text)
     out = []
     offset = 0
     for token in tokens:
@@ -273,7 +229,7 @@ def _parse_elements(
             out.append(parse_element(token))
         except ValueError:
             raise ParseError(f"cannot parse element {token!r}", offset) from None
-        offset += len(token) + 1
+        offset += len(token) + len(sep)
     return tuple(out)
 
 
@@ -281,9 +237,7 @@ def _parse_elements(
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    n = len(args.input)
-    if n > _RENDER_MAX_N:
-        raise SizeLimit(f"render is limited to {_RENDER_MAX_N} elements, got {n}")
+    _check_size("render", len(args.input))
     table = choose(args.k, args.input)
     if args.format == "ascii":
         print(render_ascii(table))

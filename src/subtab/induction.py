@@ -18,7 +18,7 @@ from typing import Callable, Generic, Sequence, TypeVar
 from .bintree import (
     Bin, SizeLimit, TipS, TipZ, Tree, UnknownName, flatten, is_tree, map_tree, un_tip, zip_with,
 )
-from .tabulate import _drop_runs, _level, choose, retabulate
+from .tabulate import _drop_runs, _joinable, _level, choose, retabulate
 
 E = TypeVar("E")
 S = TypeVar("S")
@@ -60,12 +60,14 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
     prefix, and extend its key by one element, so g sees the same
     sublists, tables and call order as under bu_spec.  Each sublist is
     answered once, and only two levels are ever live.  Each answer's TipS
-    is shared by all its parents' tables: trees are immutable.
+    is shared by all its parents' tables: trees are immutable.  Keys
+    follow choose's rule, so a range source is read as a tuple.
     """
+    xs, empty = _joinable(xs)
     n = len(xs)
     g = solver.g
     level = [solver.e()]
-    keys = [xs[:0]]
+    keys = [empty]
     for k in range(n):
         tips = [TipS(a) for a in level]
         answers: list[S] = []

@@ -38,17 +38,13 @@ def mix64(data: bytes) -> int:
     return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
-def _int_inputs(bound: int) -> Callable[[int, int], tuple]:
+def _inputs(alphabet: Seq) -> Callable[[int, int], tuple]:
+    """generator(size, seed): size elements drawn from alphabet by Random(seed)."""
     def gen(size: int, seed: int) -> tuple:
         rng = Random(seed)
-        return tuple(rng.randrange(bound) for _ in range(_level(size, math.inf)))
+        return tuple(rng.choice(alphabet) for _ in range(_level(size, math.inf)))
 
     return gen
-
-
-def _letter_inputs(size: int, seed: int) -> tuple:
-    rng = Random(seed)
-    return tuple(rng.choice(ascii_lowercase) for _ in range(_level(size, math.inf)))
 
 
 DIGEST_SEED = 0x9E3779B97F4A7C15  # answer for the empty sequence
@@ -75,7 +71,7 @@ def digest_problem() -> Problem:
         domain="arbitrary tokens with a stable repr",
         solver=solver,
         oracle=lambda xs: td(solver, xs),
-        generator=_int_inputs(256),
+        generator=_inputs(range(256)),
     )
 
 
@@ -99,7 +95,7 @@ def subtree_count_problem() -> Problem:
         domain="arbitrary tokens, at most 20 of them",
         solver=Solver(e=lambda: 1, g=_subtree_count_g),
         oracle=lambda xs: subtree_count(len(xs)),
-        generator=_letter_inputs,
+        generator=_inputs(ascii_lowercase),
     )
 
 
@@ -123,7 +119,7 @@ def min_removal_problem(cost: str) -> Problem:
         domain="numbers",
         solver=Solver(e=lambda: 0, g=g),
         oracle=lambda xs: brute_force_removal_oracle(cost, xs),
-        generator=_int_inputs(50),
+        generator=_inputs(range(50)),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .bintree import (
     Bin,
@@ -58,10 +58,23 @@ def choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:
 
     The left subtree collects sublists omitting the head of xs, the right
     subtree those containing it.  Sublists keep the sequence type of xs
-    (str in, str out; tuple in, tuple out).  Each key is built once: the
-    elements chosen so far pass down as a prefix.
+    (str in, str out; tuple in, tuple out), unless slices of xs cannot
+    be joined with + (a range, say): then xs is read as a tuple.  Each
+    key is built once: the elements chosen so far pass down as a prefix.
     """
-    return _choose(_level(k, len(xs)), xs, xs[:0])
+    xs, empty = _joinable(xs)
+    return _choose(_level(k, len(xs)), xs, empty)
+
+
+def _joinable(xs: Seq[E]) -> tuple[Seq[E], Seq[E]]:
+    """xs and its empty slice, or tuple(xs) and () if slices of xs do not
+    concatenate: keys are built by joining slices with +."""
+    empty = xs[:0]
+    try:
+        empty + empty
+    except TypeError:
+        return tuple(xs), ()
+    return xs, empty
 
 
 def _choose(k: int, xs: Seq[E], chosen: Seq[E]) -> Tree[Seq[E]]:
@@ -88,15 +101,6 @@ def blank(n: int, k: int) -> Tree[object]:
     return row[0]
 
 
-def cons_table(y: P, t: Tree[P]) -> Tree[P]:
-    """Extend a (k+1, k) table t with the full-sublist entry y.
-
-    Result is the (k+2, k+1) table whose full tip is y and whose remaining
-    entries are those of t.
-    """
-    return Bin(TipS(y), t)
-
-
 def retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
     """Raise a level-k table to level k+1.
 
@@ -118,17 +122,15 @@ def _retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
         if n == 1:
             return TipS(TipZ(t.payload))
         return Bin(_retabulate(n - 1, 0, t), TipZ(TipZ(t.payload)))
+    # each payload is a (k+1, k) table grown by one full tip, to (k+2, k+1)
     left, right = t.left, t.right
     if isinstance(left, TipS):
-        return TipS(cons_table(left.payload, right))
+        return TipS(Bin(left, right))
     if isinstance(right, TipZ):
-        return Bin(
-            _retabulate(n - 1, k, left),
-            map_tree(lambda w: cons_table(w, right), left),
-        )
+        return Bin(_retabulate(n - 1, k, left), map_tree(lambda w: Bin(TipS(w), right), left))
     return Bin(
         _retabulate(n - 1, k, left),
-        zip_with(cons_table, left, _retabulate(n - 1, k - 1, right)),
+        zip_with(lambda w, u: Bin(TipS(w), u), left, _retabulate(n - 1, k - 1, right)),
     )
 
 
@@ -222,10 +224,28 @@ def check_spec_equation(k: int, xs: Seq[E]) -> bool:
     nested_ok = retabulate(n, k, table) == map_tree(lambda ys: choose(k, ys), keys)
     if k == 0:
         return nested_ok
-    flat_ok = cd_classic(table) == map_tree(
-        lambda ys: flatten(choose(k, ys)), keys
-    )
+    flat_ok = cd_classic(table) == map_tree(lambda ys: flatten(choose(k, ys)), keys)
     return nested_ok and flat_ok
+
+
+def check_functor_laws(t: Tree[P], f: Callable, g: Callable) -> tuple[bool, bool]:
+    """Does map_tree keep identity and composition on t?  One bool per law."""
+    return (
+        map_tree(lambda v: v, t) == t,
+        map_tree(lambda v: f(g(v)), t) == map_tree(f, map_tree(g, t)),
+    )
+
+
+def check_naturality(
+    n: int, k: int, t: Tree[P], tip: Tree[P], f: Callable
+) -> tuple[bool, bool]:
+    """Do retabulate (t valid at (n, k), k below n) and un_tip (tip a tip)
+    commute with mapping f over payloads?  One bool per law."""
+    return (
+        retabulate(n, k, map_tree(f, t))
+        == map_tree(lambda inner: map_tree(f, inner), retabulate(n, k, t)),
+        f(un_tip(tip)) == un_tip(map_tree(f, tip)),
+    )
 
 
 def check_rotation(n: int, k: int) -> bool:

@@ -91,25 +91,6 @@ def test_map_tree_touches_every_payload_in_place():
     assert validate_shape(u, 4, 2)
 
 
-@given(shaped_trees())
-def test_functor_identity(case):
-    _, _, t = case
-    assert map_tree(lambda p: p, t) == t
-
-
-@given(shaped_trees())
-def test_functor_composition(case):
-    _, _, t = case
-
-    def f(v: int) -> int:
-        return 2 * v + 1
-
-    def g(v: int) -> int:
-        return v * v
-
-    assert map_tree(lambda v: f(g(v)), t) == map_tree(f, map_tree(g, t))
-
-
 def test_zip_with_pairs_matching_positions():
     t = Bin(TipS("b"), TipZ("a"))
     zipped = zip_with(lambda a, b: (a, b), t, t)
@@ -141,18 +122,6 @@ def test_un_tip_reads_both_tip_kinds():
     assert un_tip(TipS((1, 2))) == (1, 2)
     with pytest.raises(ShapeError):
         un_tip(Bin(TipS(1), TipZ(2)))
-
-
-@given(shaped_trees())
-def test_un_tip_commutes_with_map(case):
-    _, _, t = case
-    if isinstance(t, Bin):
-        return
-
-    def f(v: int) -> int:
-        return v - 11
-
-    assert f(un_tip(t)) == un_tip(map_tree(f, t))
 
 
 def test_flatten_is_left_to_right():

@@ -34,6 +34,23 @@ def test_verify_reports_green_suites(capsys):
         assert suite["passed"] > 0
 
 
+def test_verify_report_is_frozen(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "6", "--seed", "3")
+    assert code == 0
+    assert json.loads(out) == {
+        "max_n": 6,
+        "seed": 3,
+        "suites": [
+            {"suite": "level-raising-equation", "passed": 21, "failed": 0},
+            {"suite": "rotation", "passed": 21, "failed": 0},
+            {"suite": "functor-laws", "passed": 200, "failed": 0},
+            {"suite": "naturality", "passed": 200, "failed": 0},
+            {"suite": "driver-agreement", "passed": 28, "failed": 0},
+        ],
+        "ok": True,
+    }
+
+
 def test_verify_seed_changes_nothing_but_is_recorded(capsys):
     code, out, _ = run(capsys, "verify", "--n", "3", "--seed", "9")
     assert code == 0
@@ -132,6 +149,12 @@ def test_solve_reports_unparsable_elements(capsys):
     )
     assert code == 2
     assert "'x'" in err and "position 2" in err
+    # a bare string has no commas to count
+    code, _, err = run(
+        capsys, "solve", "--problem", "min-removal-sum", "--input", "12a", "--alg", "bu"
+    )
+    assert code == 2
+    assert "'a'" in err and "position 2" in err
 
 
 @pytest.mark.parametrize(

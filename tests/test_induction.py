@@ -1,6 +1,7 @@
 """The two drivers: agreement, cost profiles and instrumentation."""
 from __future__ import annotations
 
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from math import comb, factorial
 from random import Random
@@ -18,7 +19,9 @@ from subtab import (
     UnknownName,
     bu,
     bu_call_count,
+    choose,
     digest_problem,
+    flatten,
     get_problem,
     run_instrumented,
     subtree_count_problem,
@@ -62,6 +65,23 @@ def test_bu_matches_its_tree_spec_at_n_12(name):
     text = bytes(numbers) if problem.domain == "numbers" else "qwertyuiopas"
     for xs in (numbers, text):
         assert bu(problem.solver, xs) == bu_spec(problem.solver, xs)
+
+
+# keys are slices joined with +: a source whose slices cannot be joined
+# (a range) is read as a tuple, every other source keeps its type
+@pytest.mark.parametrize(
+    "xs, key_type",
+    [(range(3), tuple), (range(9, 0, -2), tuple), (b"abcd", bytes), ("abcd", str),
+     ((1, 2, 3), tuple), ([1, 2, 3], list), (array("b", [1, 2, 3]), array)],
+    ids=["range", "range-step", "bytes", "str", "tuple", "list", "array"],
+)
+def test_sources_answer_as_their_tuples(xs, key_type):
+    keys = flatten(choose(1, xs))
+    assert [type(ys) for ys in keys] == [key_type] * len(xs)
+    assert [tuple(ys) for ys in keys] == [(x,) for x in reversed(tuple(xs))]
+    want = td(DIGEST, tuple(xs))
+    for driver in (td, bu, bu_spec):
+        assert driver(DIGEST, xs) == want
 
 
 def test_bu_calls_g_like_its_tree_spec():

@@ -148,15 +148,20 @@ def test_brute_force_limits_and_bad_cost():
         brute_force_removal_oracle("median", (1, 2))
 
 
+GENERATED_6_42 = {
+    "digest": (57, 12, 140, 125, 114, 71),
+    "subtree-count": ("u", "d", "a", "x", "i", "h"),
+    "min-removal-sum": (40, 7, 1, 47, 17, 15),
+    "min-removal-max": (40, 7, 1, 47, 17, 15),
+}
+
+
+# frozen values: a change to the random stream shows on every Python version
 def test_generators_are_deterministic():
     for name in PROBLEMS:
         p = get_problem(name)
-        a = p.generator(6, 42)
-        b = p.generator(6, 42)
-        c = p.generator(6, 43)
-        assert a == b
-        assert len(a) == 6
-        assert a != c  # astronomically unlikely to collide
+        assert p.generator(6, 42) == p.generator(6, 42) == GENERATED_6_42[name]
+        assert p.generator(6, 43) != GENERATED_6_42[name]
     letters = get_problem("subtree-count").generator(5, 1)
     assert all(isinstance(x, str) and len(x) == 1 for x in letters)
 

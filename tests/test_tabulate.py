@@ -5,7 +5,7 @@ from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, strategies as st
 
 from conftest import bitmask_sublists, fill_tree, shaped_trees
 from subtab import (
@@ -18,10 +18,11 @@ from subtab import (
     blank,
     bu_call_count,
     cd_classic,
+    check_functor_laws,
+    check_naturality,
     check_rotation,
     check_spec_equation,
     choose,
-    cons_table,
     flatten,
     map_tree,
     retabulate,
@@ -103,13 +104,6 @@ def test_blank_shapes_and_sizes():
         blank(-1, 0)
 
 
-def test_cons_table_grows_the_shape_by_one():
-    t = choose(1, "ab")  # valid at (2, 1)
-    grown = cons_table("ab", t)
-    assert grown == Bin(TipS("ab"), t)
-    assert validate_shape(grown, 3, 2)
-
-
 RETAB_3_1_ABC = Bin(
     TipS(Bin(TipS("c"), TipZ("b"))),
     Bin(TipS(Bin(TipS("c"), TipZ("a"))), TipZ(Bin(TipS("b"), TipZ("a")))),
@@ -157,20 +151,6 @@ def test_retabulate_rejects_bad_levels_and_shapes():
         retabulate(3, 1, TipZ("x"))
     with pytest.raises(ShapeError):
         retabulate(4, 2, blank(4, 1))
-
-
-@given(shaped_trees(max_n=7))
-def test_retabulate_naturality(case):
-    n, k, t = case
-    if k == n:
-        return
-
-    def f(v: int) -> int:
-        return 5 * v - 2
-
-    assert retabulate(n, k, map_tree(f, t)) == map_tree(
-        lambda inner: map_tree(f, inner), retabulate(n, k, t)
-    )
 
 
 CD_1_ABC = Bin(TipS(("c", "b")), Bin(TipS(("c", "a")), TipZ(("b", "a"))))
@@ -224,6 +204,31 @@ def test_rotation_sweep():
         check_rotation(3, 3)
 
 
+@given(shaped_trees())
+def test_functor_laws_hold(case):
+    _, _, t = case
+    assert check_functor_laws(t, lambda v: 2 * v + 1, lambda v: v * v) == (True, True)
+
+
+@given(shaped_trees(max_n=7), st.sampled_from([TipZ, TipS]), st.integers(-1000, 1000))
+def test_naturality_holds(case, tip, payload):
+    n, k, t = case
+    assume(k < n)
+    assert check_naturality(n, k, t, tip(payload), lambda v: 5 * v - 2) == (True, True)
+
+
+def test_law_checks_report_each_broken_law():
+    t = choose(1, "abc")
+    assert check_functor_laws(t, str.upper, lambda v: v) == (True, True)
+    # a counter is no function of its argument: each law that applies it
+    # on both sides must read False
+    calls = iter(range(100))
+    assert check_functor_laws(t, lambda v: next(calls), str.upper) == (True, False)
+    assert check_naturality(3, 1, t, TipZ("x"), lambda v: next(calls)) == (False, False)
+    with pytest.raises(ShapeError):
+        check_naturality(3, 1, t, t, str.upper)
+
+
 def _expand_runs(n, k):
     """Per (k+1)-sublist, in level-(k+1) order: the level-k index of its
     prefix, its last position and the level-k indices of its children."""
@@ -264,6 +269,8 @@ LEVEL_ARGUMENTS = {
     "check_spec_equation": lambda k: check_spec_equation(k, "abc"),
     "check_rotation-n": lambda n: check_rotation(n, 0),
     "check_rotation-k": lambda k: check_rotation(3, k),
+    "check_naturality-n": lambda n: check_naturality(n, 0, TipZ(1), TipZ(2), abs),
+    "check_naturality-k": lambda k: check_naturality(3, k, CHOOSE_1_ABC, TipS("x"), str.upper),
     "td_call_count": td_call_count,
     "bu_call_count": bu_call_count,
     "subtree_count": subtree_count,
