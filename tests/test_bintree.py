@@ -8,7 +8,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, strategies as st
 
 import subtab
 from conftest import all_unit_trees, fill_tree, shaped_trees, unit_skeletons
@@ -21,6 +21,8 @@ from subtab import (
     UNIT,
     blank,
     cd_classic,
+    check_functor_laws,
+    check_naturality,
     choose,
     encode,
     flatten,
@@ -91,6 +93,20 @@ def test_map_tree_touches_every_payload_in_place():
     assert validate_shape(u, 4, 2)
 
 
+@given(shaped_trees())
+def test_functor_identity(case):
+    _, _, t = case
+    identity, _ = check_functor_laws(t, lambda v: v, lambda v: v)
+    assert identity
+
+
+@given(shaped_trees())
+def test_functor_composition(case):
+    _, _, t = case
+    _, composition = check_functor_laws(t, lambda v: 2 * v + 1, lambda v: v * v)
+    assert composition
+
+
 def test_zip_with_pairs_matching_positions():
     t = Bin(TipS("b"), TipZ("a"))
     zipped = zip_with(lambda a, b: (a, b), t, t)
@@ -122,6 +138,14 @@ def test_un_tip_reads_both_tip_kinds():
     assert un_tip(TipS((1, 2))) == (1, 2)
     with pytest.raises(ShapeError):
         un_tip(Bin(TipS(1), TipZ(2)))
+
+
+@given(shaped_trees(max_n=7), st.sampled_from([TipZ, TipS]), st.integers(-1000, 1000))
+def test_un_tip_commutes_with_map(case, tip, payload):
+    n, k, t = case
+    assume(k < n)
+    _, un_tip_law = check_naturality(n, k, t, tip(payload), lambda v: v - 11)
+    assert un_tip_law
 
 
 def test_flatten_is_left_to_right():
