@@ -64,8 +64,8 @@ class _Node:
     """Base of the three node classes: final, frozen, slotted, and compared,
     hashed and printed by class and fields.
 
-    Equality, hashing and repr walk an explicit stack, so they work on
-    trees of any depth, payload trees included.
+    Equality, hashing, repr and pickling walk an explicit stack, so they
+    work on trees of any depth, payload trees included.
     """
 
     __slots__ = ()
@@ -83,8 +83,10 @@ class _Node:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __reduce__(self) -> tuple[type, tuple]:
-        return self.__class__, self._fields()
+    def __reduce__(self) -> tuple[Callable, tuple]:
+        # pickle, copy and deepcopy take the flat post-order form, so they
+        # do not recurse once per level
+        return _from_post_order, (_post_order(self),)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -171,14 +173,54 @@ class Bin(_Node, Generic[P]):
         _set_right(self, right)
 
 
-# __init__ stores through the slot descriptors, bypassing the frozen
-# __setattr__; bu builds n * 2^(n-1) nodes, so this is its largest cost
+# __init__ stores through the slot descriptors, bypassing the frozen __setattr__
 _set_tipz = TipZ.payload.__set__
 _set_tips = TipS.payload.__set__
 _set_left = Bin.left.__set__
 _set_right = Bin.right.__set__
 
 Tree = Union[TipZ[P], TipS[P], Bin[P]]
+
+
+def _post_order(root: _Node) -> list:
+    """root's nodes, payload trees included, in post-order, as a list of ops.
+
+    An op (p,) pushes p, a payload that is no node; a node class builds
+    a node from the values last pushed; an int i pushes the i-th node
+    built again, so a subtree shared within root is stored once.
+    """
+    ops: list = []
+    built: dict[int, int] = {}  # id(node) -> its index among the nodes built
+    pending: list[tuple[object, bool]] = [(root, False)]
+    while pending:
+        x, ready = pending.pop()
+        if ready:
+            built[id(x)] = len(built)
+            ops.append(x.__class__)
+        elif not isinstance(x, _Node):
+            ops.append((x,))
+        elif id(x) in built:
+            ops.append(built[id(x)])
+        else:
+            pending.append((x, True))
+            pending.extend((v, False) for v in reversed(x._fields()))
+    return ops
+
+
+def _from_post_order(ops: list) -> _Node:
+    """The tree that _post_order took apart."""
+    stack: list = []
+    nodes: list[_Node] = []
+    for op in ops:
+        if op.__class__ is tuple:
+            stack.append(op[0])
+        elif op.__class__ is int:
+            stack.append(nodes[op])
+        else:
+            arity = len(op.__match_args__)
+            nodes.append(op(*stack[-arity:]))
+            stack[-arity:] = nodes[-1:]
+    return stack[0]
 
 
 def is_tree(x: object) -> bool:

@@ -1,7 +1,7 @@
 """Two interchangeable drivers for induction over immediate sublists.
 
 A problem is posed as a Solver: `e` answers the empty sequence, `g`
-combines a sequence ys with the table of answers for its immediate
+combines a sequence ys with the tuple of answers for its immediate
 sublists.  `td` recurses straight down, recomputing shared sublists;
 `bu` sweeps the lattice level by level so every sublist is answered
 exactly once.  Both produce identical results for any solver.  `bu_spec`
@@ -13,10 +13,11 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Generic, Sequence, TypeVar
 
 from .bintree import (
-    Bin, SizeLimit, TipS, TipZ, Tree, UnknownName, flatten, is_tree, map_tree, un_tip, zip_with,
+    SizeLimit, TipZ, Tree, UnknownName, flatten, is_tree, map_tree, un_tip, zip_with,
 )
 from .tabulate import _drop_runs, _joinable, _level, choose, retabulate
 
@@ -29,13 +30,13 @@ class Solver(Generic[E, S]):
     """What a problem must supply to be driven over the sublist lattice.
 
     e      () -> S, the answer for the empty sequence.
-    g      (ys, children) -> S, where children is the table of answers
-           for the immediate sublists of ys, positionally aligned with
-           choose(len(ys) - 1, ys).
+    g      (ys, children) -> S, where children is the tuple of answers
+           for the immediate sublists of ys, in
+           flatten(choose(len(ys) - 1, ys)) order.
     """
 
     e: Callable[[], S]
-    g: Callable[[Sequence[E], Tree[S]], S]
+    g: Callable[[Sequence[E], tuple[S, ...]], S]
 
 
 def td(solver: Solver[E, S], xs: Sequence[E]) -> S:
@@ -46,7 +47,7 @@ def td(solver: Solver[E, S], xs: Sequence[E]) -> S:
     """
     if len(xs) == 0:
         return solver.e()
-    children = map_tree(lambda ys: td(solver, ys), choose(len(xs) - 1, xs))
+    children = tuple([td(solver, ys) for ys in flatten(choose(len(xs) - 1, xs))])
     return solver.g(xs, children)
 
 
@@ -55,34 +56,28 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
 
     Level k is a flat list of the answers for all k-sublists, in
     flatten(choose(k, xs)) order, beside a list of those sublists.  Level
-    k+1 is built by the runs of tabulate._drop_runs: the sublists of a run
-    share their children table's TipZ, the answer for their common
-    prefix, and extend its key by one element, so g sees the same
-    sublists, tables and call order as under bu_spec.  Each sublist is
-    answered once, and only two levels are ever live.  Each answer's TipS
-    is shared by all its parents' tables: trees are immutable.  Keys
-    follow choose's rule, so a range source is read as a tuple.
+    k+1 is built by the runs of tabulate._drop_runs: a run's children
+    tuples zip the level's slices at its starts with its prefix's answer,
+    and its keys extend the prefix's key by one element each, so g sees
+    the same calls as under bu_spec.  Each sublist is answered once, no
+    tree is built, and only two levels are ever live.  Keys follow
+    choose's rule, so a range source is read as a tuple.
     """
     xs, empty = _joinable(xs)
     n = len(xs)
     g = solver.g
+    lasts = [xs[n - 1 - t : n - t] for t in range(n)]  # the element a run's t-th sublist adds
     level = [solver.e()]
     keys = [empty]
     for k in range(n):
-        tips = [TipS(a) for a in level]
         answers: list[S] = []
         sublists: list[Sequence[E]] = []
         for prefix, starts, length in _drop_runs(n, k):
-            last = TipZ(level[prefix])
             key = keys[prefix]
-            starts.reverse()  # each spine is built from its TipZ up
-            for t in range(length):
-                children: Tree[S] = last
-                for s in starts:
-                    children = Bin(tips[s + t], children)
-                ys = key + xs[n - 1 - t : n - t]
-                sublists.append(ys)
-                answers.append(g(ys, children))
+            run = [key + last for last in lasts[:length]]
+            sublists += run
+            children = zip(*[level[s : s + length] for s in starts], repeat(level[prefix], length))
+            answers += map(g, run, children)
         level, keys = answers, sublists
     return level[0]
 
@@ -92,17 +87,17 @@ def bu_spec(solver: Solver[E, S], xs: Sequence[E]) -> S:
 
     Level k is the tree choose(k, xs) with answers for payloads.  Raising
     it with retabulate regroups those answers under each (k+1)-sublist,
-    which is exactly the children table g expects, so each level is one
-    zip.
+    and flattening each such table gives the children g expects, so each
+    level is one zip.
     """
     n = len(xs)
     level: Tree = TipZ(solver.e())
     for k in range(n):
-        level = zip_with(solver.g, choose(k + 1, xs), retabulate(n, k, level))
+        level = zip_with(solver.g, choose(k + 1, xs), map_tree(flatten, retabulate(n, k, level)))
     return un_tip(level)
 
 
-# Each driver with its table layers around a children table (a bu level).
+# Each driver with its table layers around a children tuple (a bu level).
 _DRIVERS = {"td": (td, 0), "bu": (bu, 1)}
 
 
@@ -111,7 +106,7 @@ class CallStats:
     """Counters collected by run_instrumented.
 
     peak_nesting is the driver's table layers (td 0, bu 1) plus the
-    nesting of the first children table g receives for each sublist
+    nesting of the first children tuple g receives for each sublist
     size, as all of one size are built alike; on empty input, where g is
     never called, it is the layer count alone, whatever e() returns.
     g_key_counts maps tuple(ys), for each ys td passes to g, to its call
@@ -125,10 +120,11 @@ class CallStats:
     g_key_counts: Counter = field(default_factory=Counter)
 
 
-def _nesting_depth(t: Tree) -> int:
-    """1 for a flat table, 2 for a table of tables, and so on; payloads
-    that are themselves trees count as nested tables."""
-    return 1 + max((_nesting_depth(p) for p in flatten(t) if is_tree(p)), default=0)
+def _nesting_depth(t: tuple | Tree) -> int:
+    """1 for a flat table (a tuple or a tree), 2 for a table of tables, and
+    so on; payloads that are themselves trees count as nested tables."""
+    items = t if type(t) is tuple else flatten(t)
+    return 1 + max((_nesting_depth(p) for p in items if is_tree(p)), default=0)
 
 
 def run_instrumented(
@@ -152,7 +148,7 @@ def run_instrumented(
         stats.e_calls += 1
         return solver.e()
 
-    def counted_g(ys: Sequence[E], children: Tree[S]) -> S:
+    def counted_g(ys: Sequence[E], children: tuple[S, ...]) -> S:
         stats.g_calls += 1
         if keys is not None:
             keys[tuple(ys)] += 1

@@ -50,9 +50,10 @@ def _inputs(alphabet: Seq) -> Callable[[int, int], tuple]:
 DIGEST_SEED = 0x9E3779B97F4A7C15  # answer for the empty sequence
 
 
-def _digest_g(ys: Seq, children: Tree[int]) -> int:
+def _digest_g(ys: Seq, children: tuple[int, ...] | Tree[int]) -> int:
     """Mix the sequence with its children's digests, order-sensitively."""
-    kids = flatten(children)
+    # perfbench/reference.py's memoised_top_down passes a right-spine table
+    kids = children if type(children) is tuple else flatten(children)
     data = repr(tuple(ys)).encode() + struct.pack(f"<{len(kids)}Q", *kids)
     return mix64(data)
 
@@ -61,7 +62,7 @@ def digest_problem() -> Problem:
     """Order-sensitive structural digest.
 
     The solution encodes the whole recursion tree, so the two drivers
-    agree only if they feed g the same children tables in the same order.
+    agree only if they feed g the same children in the same order.
     The oracle is the top-down driver itself: the property of interest is
     cross-driver agreement, not an external value.
     """
@@ -83,9 +84,9 @@ def subtree_count(m: int) -> int:
     return total
 
 
-def _subtree_count_g(ys: Seq, children: Tree[int]) -> int:
+def _subtree_count_g(ys: Seq, children: tuple[int, ...]) -> int:
     _guard(len(ys), 20)
-    return 1 + sum(flatten(children))
+    return 1 + sum(children)
 
 
 def subtree_count_problem() -> Problem:
@@ -111,8 +112,8 @@ def min_removal_problem(cost: str) -> Problem:
     """
     step = _step_fn(cost)
 
-    def g(ys: Seq, children: Tree) -> Any:
-        return step(ys) + min(flatten(children))
+    def g(ys: Seq, children: tuple) -> Any:
+        return step(ys) + min(children)
 
     return Problem(
         name=f"min-removal-{cost}",

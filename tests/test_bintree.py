@@ -232,6 +232,28 @@ def test_deep_tables_and_payload_chains_compare_hash_and_repr():
     _assert_compares_hashes_and_reprs(lambda: payload_chain(1), payload_chain(2))
 
 
+def test_deep_tables_and_chains_pickle_and_deepcopy():
+    payload_chain = TipZ(0)
+    for i in range(5000):
+        payload_chain = (TipS if i % 2 else TipZ)(payload_chain)
+    trees = [choose(1, "a" * 900), _chain(TipS(0), lambda i: True)[0], payload_chain]
+    for t in trees:
+        pickles = [pickle.dumps(t, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in [*map(pickle.loads, pickles), copy.copy(t), copy.deepcopy(t)]:
+            assert type(clone) is type(t) and clone is not t
+            assert clone == t
+
+
+def test_pickle_and_deepcopy_keep_shared_subtrees_shared():
+    # blank shares equal subtrees: 1.2e17 payloads on some 900 nodes
+    t = blank(60, 30)
+    assert t.left.right is t.right.left
+    for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert clone is not t and clone.left.right is clone.right.left
+    small = blank(12, 6)
+    assert pickle.loads(pickle.dumps(small)) == small == copy.deepcopy(small)
+
+
 NON_TREES = [5, None, "Z(1)"]
 TREE_FUNCTIONS = {
     "flatten": flatten,

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from math import comb, factorial
+from math import factorial
 from random import Random
 
 import pytest
@@ -11,10 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from subtab import (
     PROBLEMS,
-    Bin,
     SizeLimit,
     Solver,
-    TipS,
     TipZ,
     UnknownName,
     bu,
@@ -104,65 +102,41 @@ def test_bu_calls_g_like_its_tree_spec():
             assert len({ys for ys, _ in flat}) == 2**n - 1
 
 
-def test_bu_shares_one_tip_per_answer():
-    kept = []
+def test_drivers_pass_children_as_a_tuple_of_answers():
+    # every answer is a fresh object, so `is` tells which g call made it
+    for driver in (td, bu, bu_spec):
+        for n in range(9):
+            latest = {}
+            solved = []
 
-    def g(ys, children):
-        kept.append((len(ys), children))
-        return ys
+            def answer(ys):
+                latest[ys] = object()
+                return latest[ys]
 
-    # every children table stays alive, so no object id is reused
-    for n in range(9):
-        kept.clear()
-        bu(Solver(e=lambda: (), g=g), tuple(range(n)))
-        for k in range(n):
-            tips = set()
-            for size, children in kept:
-                if size == k + 1:
-                    while isinstance(children, Bin):
-                        assert isinstance(children.left, TipS)
-                        tips.add(id(children.left))
-                        children = children.right
-            assert len(tips) <= comb(n, k)
+            def g(ys, children):
+                subs = flatten(choose(len(ys) - 1, ys))
+                assert type(children) is tuple and len(children) == len(subs)
+                # td recomputes sublists; the answer passed is the latest,
+                # and in bu the only one: nothing is copied
+                assert all(c is latest[s] for c, s in zip(children, subs))
+                solved.append(ys)
+                return answer(ys)
 
-
-def test_bu_shares_one_last_tip_per_run():
-    kept = []
-
-    def g(ys, children):
-        kept.append((len(ys), children))
-        return ys
-
-    # (k+1)-sublists sharing their first k positions share the TipZ
-    # holding that prefix's answer; every table stays alive, so no object
-    # id is reused
-    for n in range(9):
-        kept.clear()
-        bu(Solver(e=lambda: (), g=g), tuple(range(n)))
-        for k in range(n):
-            lasts = set()
-            for size, children in kept:
-                if size == k + 1:
-                    while isinstance(children, Bin):
-                        children = children.right
-                    assert isinstance(children, TipZ)
-                    lasts.add(id(children))
-            assert len(lasts) <= comb(n - 1, k)
+            driver(Solver(e=lambda: answer(()), g=g), tuple(range(n)))
+            assert len(solved) == (td_call_count if driver is td else bu_call_count)(n)
+            if driver is bu:
+                assert len(set(solved)) == len(solved)
 
 
 def test_driver_agreement_catches_order_dependence():
     # a solver digesting children in order disagrees across drivers if
-    # either driver permutes a children table
+    # either driver permutes a children tuple
     def scrambled_bu(solver, xs):
-        def g(ys, children):
-            if isinstance(children, Bin):
-                children = Bin(children.right, children.left)
-            return solver.g(ys, children)
-
-        return bu(Solver(e=solver.e, g=g), xs)
+        return bu(Solver(e=solver.e, g=lambda ys, children: solver.g(ys, children[::-1])), xs)
 
     xs = (1, 2, 3)
     assert scrambled_bu(DIGEST, xs) != td(DIGEST, xs)
+    assert bu(DIGEST, xs) == td(DIGEST, xs)
 
 
 def test_td_call_profile():
