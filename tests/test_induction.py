@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from math import factorial
+from math import comb, factorial
 from random import Random
 
 import pytest
@@ -126,6 +126,51 @@ def test_drivers_pass_children_as_a_tuple_of_answers():
             assert len(solved) == (td_call_count if driver is td else bu_call_count)(n)
             if driver is bu:
                 assert len(set(solved)) == len(solved)
+
+
+def test_bu_shares_one_tip_per_answer():
+    kept = []
+
+    def g(ys, children):
+        kept.append((len(ys), children))
+        return object()
+
+    # every answer is a fresh object kept alive, so no object id is reused
+    # and the children of all (k+1)-sublists hold one object per k-sublist
+    for n in range(9):
+        kept.clear()
+        bu(Solver(e=object, g=g), tuple(range(n)))
+        for k in range(n):
+            tips = {id(c) for size, children in kept if size == k + 1 for c in children}
+            assert len(tips) == comb(n, k)
+
+
+def test_bu_shares_one_last_tip_per_run():
+    kept = []
+    answers = {}
+
+    def g(ys, children):
+        kept.append((ys, children))
+        answers[ys] = object()
+        return answers[ys]
+
+    def e():
+        answers[()] = object()
+        return answers[()]
+
+    # (k+1)-sublists sharing their first k positions share, as last child,
+    # the one object answering that prefix
+    for n in range(9):
+        kept.clear()
+        answers.clear()
+        bu(Solver(e=e, g=g), tuple(range(n)))
+        for k in range(n):
+            lasts = set()
+            for ys, children in kept:
+                if len(ys) == k + 1:
+                    assert children[-1] is answers[ys[:-1]]
+                    lasts.add(id(children[-1]))
+            assert len(lasts) == comb(n - 1, k)
 
 
 def test_driver_agreement_catches_order_dependence():
