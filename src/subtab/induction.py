@@ -19,7 +19,7 @@ from typing import Callable, Generic, Sequence, TypeVar
 from .bintree import (
     SizeLimit, TipZ, Tree, UnknownName, flatten, is_tree, map_tree, un_tip, zip_with,
 )
-from .tabulate import _drop_runs, _joinable, _level, choose, retabulate
+from .tabulate import _joinable, _level, choose, retabulate
 
 E = TypeVar("E")
 S = TypeVar("S")
@@ -56,29 +56,44 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
 
     Level k is a flat list of the answers for all k-sublists, in
     flatten(choose(k, xs)) order, beside a list of those sublists.  Level
-    k+1 is built by the runs of tabulate._drop_runs: a run's children
-    tuples zip the level's slices at its starts with its prefix's answer,
-    and its keys extend the prefix's key by one element each, so g sees
-    the same calls as under bu_spec.  Each sublist is answered once, no
-    tree is built, and only two levels are ever live.  Keys follow
-    choose's rule, so a range source is read as a tuple.
+    k+1 is built by cd, retabulate's recursion run on flat lists: it
+    fills one column per child position, and g is mapped over the keys
+    and the zipped columns, so g sees the same calls as under bu_spec.
+    cd recurses only as the level drops, at most k + 1 deep.  Each
+    sublist is answered once, no tree is built, and only two levels and
+    one level's children are ever live.  Keys follow choose's rule, so a
+    range source is read as a tuple.
     """
     xs, empty = _joinable(xs)
     n = len(xs)
-    g = solver.g
-    lasts = [xs[n - 1 - t : n - t] for t in range(n)]  # the element a run's t-th sublist adds
+    lasts = [xs[n - 1 - t : n - t] for t in range(n)]  # one-element slices, last first
     level = [solver.e()]
     keys = [empty]
     for k in range(n):
-        answers: list[S] = []
+        columns: list[list[S]] = [[] for _ in range(k + 1)]
         sublists: list[Sequence[E]] = []
-        for prefix, starts, length in _drop_runs(n, k):
-            key = keys[prefix]
-            run = [key + last for last in lasts[:length]]
-            sublists += run
-            children = zip(*[level[s : s + length] for s in starts], repeat(level[prefix], length))
-            answers += map(g, run, children)
-        level, keys = answers, sublists
+
+        def cd(m: int, j: int, lo: int, shift: int) -> None:
+            """Add the children and keys of the (j+1)-sublists of the last m
+            elements, after shift chosen earlier, whose level-j table is
+            level[lo:]."""
+            if j == 0:  # a TipZ: one child, the prefix
+                columns[shift] += repeat(level[lo], m)
+                key = keys[lo]
+                sublists.extend([key + last for last in lasts[:m]])
+                return
+            # the full tip of the last j + 1 elements, then down the left spine
+            for i in range(j + 1):
+                columns[shift + i].append(level[lo + i])
+            sublists.append(keys[lo + j] + lasts[0])
+            for size in range(j + 1, m):
+                mid = lo + math.comb(size, j)
+                columns[shift] += level[lo:mid]
+                cd(size, j - 1, mid, shift + 1)
+
+        cd(n, k, 0, 0)
+        level = list(map(solver.g, sublists, zip(*columns)))
+        keys = sublists
     return level[0]
 
 

@@ -4,15 +4,13 @@ Level k of the lattice over an n-element source is the family of its
 k-element sublists, tabulated in a binomial-shaped tree.  `choose` builds
 the table, `blank` its payload-free skeleton, and `retabulate` raises a
 level-k table to level k+1 by grouping, for each (k+1)-sublist, the
-entries at all of its immediate sublists.  `_drop_runs` does the same
-grouping for levels stored as flat lists in flatten order, by index
-arithmetic alone.
+entries at all of its immediate sublists.
 """
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .bintree import (
     Bin,
@@ -132,58 +130,6 @@ def _retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
         _retabulate(n - 1, k, left),
         zip_with(lambda w, u: Bin(TipS(w), u), left, _retabulate(n - 1, k - 1, right)),
     )
-
-
-def _drop_runs(n: int, k: int) -> Iterator[tuple[int, list[int], int]]:
-    """Where the immediate sublists of each (k+1)-sublist sit in level k.
-
-    A flat level-m table lists the m-position sets of range(n) in
-    flatten(choose(m, ...)) order, p_0 < ... < p_{m-1} at index
-    sum_j C(n-1-p_j, m-j).  In level k+1's order the sets sharing
-    p_0..p_{k-1} are consecutive, a run, with p_k = n-1-t for t in
-    range(length).  Per run, yields (prefix, starts, length): p minus p_k
-    is at level-k index prefix, p minus p_i (i < k) at starts[i] + t.
-    k runs over 0..n-1; k = 0 is one run with an empty prefix.
-    """
-    n = _level(n, math.inf)
-    k = _level(k, n - 1)
-    pascal = [[math.comb(x, j) for j in range(k + 2)] for x in range(n)]
-    run = 0  # level-(k+1) index of the run's first set, where t = 0
-    for p in _table_order(n - 1, k):
-        # starts[i] is sum_{j<i} C(n-1-p_j, k-j) plus sum_{i<j<k}
-        # C(n-1-p_j, k+1-j); acc holds the first sum plus sum_{j>=i} of
-        # the second, which at i = 0 is run and at i = k is the prefix
-        acc = run
-        starts = []
-        j = k + 1
-        for x in p:
-            row = pascal[n - 1 - x]
-            term = row[j]
-            starts.append(acc - term)
-            j -= 1
-            acc += row[j] - term
-        length = n - 1 - p[-1] if p else n
-        yield acc, starts, length
-        run += length
-
-
-def _table_order(n: int, m: int) -> Iterator[list[int]]:
-    """The m-position sets of range(n) in flatten(choose(m, ...)) order.
-
-    That order is reverse lexicographic, so each step takes the
-    lexicographic predecessor.  The one list is updated in place.
-    """
-    p = list(range(n - m, n))
-    while True:
-        yield p
-        i = m - 1
-        while i >= 0 and p[i] == (p[i - 1] + 1 if i else 0):
-            i -= 1
-        if i < 0:
-            return
-        p[i] -= 1
-        for j in range(i + 1, m):
-            p[j] = n - m + j
 
 
 def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:

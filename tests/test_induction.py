@@ -1,6 +1,8 @@
 """The two drivers: agreement, cost profiles and instrumentation."""
 from __future__ import annotations
 
+import inspect
+import sys
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from math import comb, factorial
@@ -91,8 +93,8 @@ def test_bu_calls_g_like_its_tree_spec():
 
     # answers are the keys themselves, so equal calls mean equal keys,
     # children tables and order
-    for n in range(9):
-        for xs in ("abcdefgh"[:n], tuple(range(n))):
+    for n in range(11):
+        for xs in ("abcdefghij"[:n], tuple(range(n))):
             flat, tree = [], []
             bu(recording(flat), xs)
             bu_spec(recording(tree), xs)
@@ -100,6 +102,27 @@ def test_bu_calls_g_like_its_tree_spec():
             assert [type(ys) for ys, _ in flat] == [type(xs)] * (2**n - 1)
             # bu answers each sublist once
             assert len({ys for ys, _ in flat}) == 2**n - 1
+
+
+class _ReachedLevelThree(Exception):
+    pass
+
+
+def test_bu_recursion_depth_is_bounded_by_the_level_not_by_n():
+    def g(ys, children):
+        if len(ys) == 3:
+            raise _ReachedLevelThree
+        return 0
+
+    # a recursion down the left spine would go 150 deep; bu's cd goes
+    # k + 1.  Level 2 of 150 elements is already C(150, 3) = 551,300 rows.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(_ReachedLevelThree):
+            bu(Solver(e=lambda: 0, g=g), tuple(range(150)))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_drivers_pass_children_as_a_tuple_of_answers():

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given
 
-from conftest import bitmask_sublists, fill_tree, shaped_trees
+from conftest import bitmask_sublists, shaped_trees
 from subtab import (
     Bin,
     InvalidLevel,
@@ -31,7 +31,6 @@ from subtab import (
     td_call_count,
     validate_shape,
 )
-from subtab.tabulate import _drop_runs
 
 # hand-expanded from the shape rules, payload by payload
 CHOOSE_1_ABC = Bin(Bin(TipS("c"), TipZ("b")), TipZ("a"))
@@ -224,34 +223,6 @@ def test_law_checks_report_each_broken_law():
         check_naturality(3, 1, t, t, str.upper)
 
 
-def _expand_runs(n, k):
-    """Per (k+1)-sublist, in level-(k+1) order: the level-k index of its
-    prefix, its last position and the level-k indices of its children."""
-    for prefix, starts, length in _drop_runs(n, k):
-        for t in range(length):
-            yield prefix, n - 1 - t, [s + t for s in starts] + [prefix]
-
-
-def test_drop_runs_match_retabulating_an_index_table():
-    for n in range(1, 11):
-        for k in range(n):
-            indices = fill_tree(n, k, range(comb(n, k)))
-            raised = [list(flatten(t)) for t in flatten(retabulate(n, k, indices))]
-            plan = list(_expand_runs(n, k))
-            assert [ranks for _, _, ranks in plan] == raised
-            # each (k+1)-sublist is its prefix's key plus its last position
-            keys = flatten(choose(k, tuple(range(n))))
-            built = [keys[prefix] + (last,) for prefix, last, _ in plan]
-            assert built == list(flatten(choose(k + 1, tuple(range(n)))))
-            assert len(list(_drop_runs(n, k))) == comb(n - 1, k)
-
-
-def test_drop_runs_rejects_levels_with_nothing_above():
-    for n, k in [(0, 0), (3, 3), (3, -1)]:
-        with pytest.raises(InvalidLevel):
-            list(_drop_runs(n, k))
-
-
 # each public call that takes a level or size, with that argument left open
 LEVEL_ARGUMENTS = {
     "choose": lambda k: choose(k, "abc"),
@@ -259,8 +230,6 @@ LEVEL_ARGUMENTS = {
     "blank-k": lambda k: blank(3, k),
     "retabulate-n": lambda n: retabulate(n, 0, TipZ("x")),
     "retabulate-k": lambda k: retabulate(3, k, CHOOSE_1_ABC),
-    "drop_runs-n": lambda n: list(_drop_runs(n, 0)),
-    "drop_runs-k": lambda k: list(_drop_runs(3, k)),
     "check_spec_equation": lambda k: check_spec_equation(k, "abc"),
     "check_rotation-n": lambda n: check_rotation(n, 0),
     "check_rotation-k": lambda k: check_rotation(3, k),
