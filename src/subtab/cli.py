@@ -33,10 +33,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SIZE_LIMIT = 3
 
-# the most elements each driver and render takes: td makes 623,530 g
-# calls at n = 9 in a few seconds, bu 2^n - 1, about a million in two
-# or so at n = 20, and a middle k prints C(n, k) entries, so render
-# stops there
+# the most elements each driver and render takes: td makes 623,530 g calls
+# at n = 9 in a few seconds, bu 2^n - 1, about a million in two or so at
+# n = 20, and a middle k prints C(n, k) entries, so render stops there
 _MAX_N = {"td": 9, "bu": 20, "render": 20}
 
 _INT_TOKEN = re.compile("-?[0-9]+")
@@ -133,11 +132,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ("naturality", _sweep_naturality(args.n, rng)),
         ("driver-agreement", _sweep_agreement(args.n, rng)),
     ]
-    ok = True
-    rows = []
-    for name, (passed, failed) in suites:
-        rows.append({"suite": name, "passed": passed, "failed": failed})
-        ok = ok and failed == 0
+    rows = [{"suite": name, "passed": passed, "failed": failed} for name, (passed, failed) in suites]
+    ok = all(row["failed"] == 0 for row in rows)
     print(json.dumps({"max_n": args.n, "seed": args.seed, "suites": rows, "ok": ok}))
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
@@ -240,10 +236,7 @@ def _parse_elements(text: str, parse_element: Callable[[str], object]) -> tuple:
 def _cmd_render(args: argparse.Namespace) -> int:
     _check_size("render", len(args.input))
     table = choose(args.k, args.input)
-    if args.format == "ascii":
-        print(render_ascii(table))
-    else:
-        print(encode(table))
+    print(render_ascii(table) if args.format == "ascii" else encode(table))
     return EXIT_OK
 
 

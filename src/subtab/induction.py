@@ -2,10 +2,10 @@
 
 A problem is posed as a Solver: `e` answers the empty sequence, `g`
 combines a sequence ys with the tuple of answers for its immediate
-sublists.  `td` recurses straight down, recomputing shared sublists;
-`bu` sweeps the lattice level by level so every sublist is answered
-exactly once.  Both produce identical results for any solver.  `bu_spec`
-is the tree form of `bu`, kept as its specification.
+sublists.  `td` recurses straight down, dropping each position of ys in
+turn and recomputing shared sublists; `bu` sweeps the lattice level by
+level, answering every sublist once.  Both give identical results for
+any solver.  `bu_spec`, the tree form of `bu`, is its specification.
 """
 from __future__ import annotations
 
@@ -42,13 +42,20 @@ class Solver(Generic[E, S]):
 def td(solver: Solver[E, S], xs: Sequence[E]) -> S:
     """Top-down: recurse into every immediate sublist independently.
 
-    Shared sublists are recomputed each time they are reached, so the
-    call count grows superexponentially; see td_call_count.
+    The children of ys drop its positions in turn, first to last, which
+    is flatten(choose(len(ys) - 1, ys)) order, and no table is built.  xs
+    is read as choose reads it, a range as a tuple.  Shared sublists are
+    recomputed, so g calls grow superexponentially; see td_call_count.
     """
-    if len(xs) == 0:
-        return solver.e()
-    children = tuple([td(solver, ys) for ys in flatten(choose(len(xs) - 1, xs))])
-    return solver.g(xs, children)
+    xs, _ = _joinable(xs)
+    e, g = solver.e, solver.g
+
+    def solve(ys: Sequence[E]) -> S:
+        if not ys:
+            return e()
+        return g(ys, tuple([solve(ys[:i] + ys[i + 1 :]) for i in range(len(ys))]))
+
+    return solve(xs)
 
 
 def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:

@@ -1,6 +1,7 @@
 """Ready-made solvers, each with an independent oracle and input generator."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
@@ -48,14 +49,16 @@ def _inputs(alphabet: Seq) -> Callable[[int, int], tuple]:
 
 
 DIGEST_SEED = 0x9E3779B97F4A7C15  # answer for the empty sequence
+_PACK = functools.cache(lambda m: struct.Struct(f"<{m}Q").pack)  # m children as bytes
 
 
 def _digest_g(ys: Seq, children: tuple[int, ...] | Tree[int]) -> int:
-    """Mix the sequence with its children's digests, order-sensitively."""
+    """mix64 of ys's repr and its packed children, fed to the hash in turn."""
     # perfbench/reference.py's memoised_top_down passes a right-spine table
     kids = children if type(children) is tuple else flatten(children)
-    data = repr(tuple(ys)).encode() + struct.pack(f"<{len(kids)}Q", *kids)
-    return mix64(data)
+    h = blake2b(repr(tuple(ys)).encode(), digest_size=8)
+    h.update(_PACK(len(kids))(*kids))
+    return int.from_bytes(h.digest(), "little")
 
 
 def digest_problem() -> Problem:

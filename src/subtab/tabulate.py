@@ -76,13 +76,21 @@ def _joinable(xs: Seq[E]) -> tuple[Seq[E], Seq[E]]:
 
 
 def _choose(k: int, xs: Seq[E], chosen: Seq[E]) -> Tree[Seq[E]]:
-    """choose(k, xs) with chosen prefixed to every key."""
-    if k == 0:
-        return TipZ(chosen)
-    if k == len(xs):
-        return TipS(chosen + xs)
-    rest = xs[1:]
-    return Bin(_choose(k, rest, chosen), _choose(k - 1, rest, chosen + xs[:1]))
+    """choose(k, xs) with chosen prefixed to every key, without recursion."""
+    n = len(xs)
+    done, todo = [], [(k, 0, chosen)]  # (k, i, chosen) is choose(k, xs[i:]) so prefixed
+    while todo:
+        item = todo.pop()
+        if item is None:  # both subtrees of a Bin are built
+            right = done.pop()
+            done[-1] = Bin(done[-1], right)
+            continue
+        k, i, chosen = item
+        while 0 < k < n - i:  # down the left spine; each right subtree waits
+            todo += (None, (k - 1, i + 1, chosen + xs[i : i + 1]))
+            i += 1
+        done.append(TipS(chosen + xs[i:]) if k else TipZ(chosen))
+    return done[0]
 
 
 def blank(n: int, k: int) -> Tree[object]:

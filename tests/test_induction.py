@@ -84,6 +84,41 @@ def test_sources_answer_as_their_tuples(xs, key_type):
         assert driver(DIGEST, xs) == want
 
 
+SOURCES = {
+    "str": lambda n: "abcdefgh"[:n],
+    "tuple": lambda n: tuple(range(n)),
+    "list": lambda n: list(range(n)),
+    "bytes": lambda n: bytes(range(n)),
+    "array": lambda n: array("b", range(n)),
+    "range": lambda n: range(n),
+}
+
+
+@pytest.mark.parametrize("make", SOURCES.values(), ids=SOURCES.keys())
+def test_td_children_drop_each_position_in_choose_order(make):
+    for n in range(1, 9):
+        xs = make(n)
+        ys = tuple(xs) if type(xs) is range else xs  # td reads a range as a tuple
+        assert tuple(ys[:i] + ys[i + 1 :] for i in range(n)) == flatten(choose(n - 1, xs))
+
+
+def test_td_reads_a_range_as_a_tuple_at_every_call():
+    xs = range(3, 10)
+    answers = []
+    for driver, calls in ((td, td_call_count), (bu, bu_call_count)):
+        keys = []
+
+        def g(ys, children):
+            keys.append(ys)
+            return DIGEST.g(ys, children)
+
+        answers.append(driver(Solver(e=DIGEST.e, g=g), xs))
+        assert {type(ys) for ys in keys} == {tuple}
+        assert keys[-1] == tuple(xs)  # the top call is the last
+        assert len(keys) == calls(len(xs))
+    assert answers[0] == answers[1] == bu_spec(DIGEST, xs)
+
+
 def test_bu_calls_g_like_its_tree_spec():
     def recording(calls):
         def g(ys, children):

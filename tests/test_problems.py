@@ -1,7 +1,9 @@
 """The bundled problems, their oracles and their generators."""
 from __future__ import annotations
 
+import struct
 from random import Random
+from string import ascii_lowercase
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,3 +177,19 @@ def test_generator_sizes_are_checked_levels(name):
             gen(size, 0)
     assert gen(True, 5) == gen(1, 5)
     assert gen(False, 5) == ()
+
+
+def test_digest_hashes_the_repr_and_the_packed_children_as_one_message():
+    g = digest_problem().solver.g
+    rng = Random(14)
+    for trial in range(200):
+        m = rng.randrange(1, 10)
+        letters = "".join(rng.choice(ascii_lowercase) for _ in range(m))
+        ys = letters if trial % 2 else tuple(rng.randrange(256) for _ in range(m))
+        kids = tuple(rng.randrange(2**64) for _ in range(m))
+        # the right-spine table perfbench/reference.py hands g
+        spine = TipZ(kids[-1])
+        for kid in reversed(kids[:-1]):
+            spine = Bin(TipS(kid), spine)
+        want = mix64(repr(tuple(ys)).encode() + struct.pack(f"<{m}Q", *kids))
+        assert g(ys, kids) == g(ys, spine) == want

@@ -77,6 +77,32 @@ def test_choose_rejects_impossible_levels():
         choose(-1, "ab")
 
 
+def _recursive_choose(k, xs, chosen):
+    """choose's former form, one call per element, as the oracle of its loop."""
+    if k == 0:
+        return TipZ(chosen)
+    if k == len(xs):
+        return TipS(chosen + xs)
+    rest = xs[1:]
+    return Bin(_recursive_choose(k, rest, chosen), _recursive_choose(k - 1, rest, chosen + xs[:1]))
+
+
+def test_choose_builds_the_tables_of_its_recursive_form():
+    for n in range(11):
+        for xs in ("abcdefghij"[:n], tuple(range(n)), list(range(n))):
+            for k in range(n + 1):
+                assert choose(k, xs) == _recursive_choose(k, xs, xs[:0])
+
+
+def test_choose_does_not_recurse_per_element():
+    xs = "a" * 1999 + "b"
+    for k in (1, len(xs) - 1):
+        keys = flatten(choose(k, xs))
+        assert len(keys) == len(xs) and {len(ys) for ys in keys} == {k}
+        # the sublist omitting the head first, the one omitting "b" last
+        assert "b" in keys[0] and "b" not in keys[-1]
+
+
 def test_blank_is_the_unit_table_of_choose():
     for n in range(11):
         for k in range(n + 1):
