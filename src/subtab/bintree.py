@@ -13,6 +13,7 @@ Nothing validates at k > n.  Trees are immutable and compare structurally.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import FrozenInstanceError
 from typing import Callable, Generic, TypeVar, Union
 
@@ -43,18 +44,15 @@ class UnknownName(ValueError):
 
 
 class _Unit:
-    """Placeholder payload for blank tables; the codec spells it '*'."""
+    """Type of UNIT, the placeholder payload of blank tables; the codec spells it '*'."""
 
     __slots__ = ()
 
     def __repr__(self) -> str:
         return "unit"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Unit)
-
-    def __hash__(self) -> int:
-        return hash(_Unit)
+    def __reduce__(self) -> str:
+        return "UNIT"  # pickle and copy give back the module's one instance
 
 
 UNIT = _Unit()
@@ -320,6 +318,11 @@ def flatten(t: Tree[P]) -> tuple[P, ...]:
 
 MAX_DEPTH = 300
 
+# A scalar payload: '*', an ASCII integer, or a string with its body in
+# group 1, and group 2 empty when it stops short of its closing quote.
+_SCALAR = re.compile(r'\*|-?[0-9]+|"([^"\\]*(?:\\["\\][^"\\]*)*)("?)')
+_ESCAPE = re.compile(r'\\(["\\])')
+
 
 def encode(t: Tree[P]) -> str:
     """Render t in the single-line text form.
@@ -351,7 +354,7 @@ def _encode_tree(t: Tree[P], parts: list[str], depth: int) -> None:
 
 def _encode_payload(p: object, parts: list[str], depth: int) -> None:
     """Append p; depth is that of its enclosing level."""
-    if isinstance(p, _Unit):
+    if p is UNIT:
         parts.append("*")
     elif isinstance(p, bool):
         raise TypeError("bool payloads have no default encoding")
@@ -409,51 +412,27 @@ def _parse_tree(s: str, i: int, depth: int) -> tuple[Tree, int]:
 
 def _parse_payload(s: str, i: int, depth: int) -> tuple[object, int]:
     """Parse the payload at s[i]; depth is that of its enclosing level."""
-    if i >= len(s):
+    scalar = _SCALAR.match(s, i)
+    if scalar is None:
+        c = s[i : i + 1]
+        if c == "[":
+            return _parse_sequence(s, i, depth + 1)
+        if c in ("Z", "S", "B"):
+            return _parse_tree(s, i, depth + 1)
+        if c == "-":
+            raise ParseError("expected a digit", i + 1)
         raise ParseError("expected a payload", i)
-    c = s[i]
-    if c == "*":
-        return UNIT, i + 1
-    if c == "-" or c in "0123456789":
-        return _parse_int(s, i)
-    if c == '"':
-        return _parse_string(s, i)
-    if c == "[":
-        return _parse_sequence(s, i, depth + 1)
-    if c in "ZSB":
-        return _parse_tree(s, i, depth + 1)
-    raise ParseError("expected a payload", i)
-
-
-def _parse_int(s: str, i: int) -> tuple[int, int]:
-    start = i
-    if s[i] == "-":
-        i += 1
-    digits = i
-    # ASCII digits only: str.isdigit also takes '²', which int() rejects
-    while i < len(s) and s[i] in "0123456789":
-        i += 1
-    if i == digits:
-        raise ParseError("expected a digit", i)
-    return int(s[start:i]), i
-
-
-def _parse_string(s: str, i: int) -> tuple[str, int]:
-    chars: list[str] = []
-    i += 1  # past opening quote
-    while i < len(s):
-        c = s[i]
-        if c == '"':
-            return "".join(chars), i + 1
-        if c == "\\":
-            if i + 1 >= len(s) or s[i + 1] not in '"\\':
-                raise ParseError("bad escape", i)
-            chars.append(s[i + 1])
-            i += 2
-        else:
-            chars.append(c)
-            i += 1
-    raise ParseError("unterminated string", i)
+    token, end = scalar.group(), scalar.end()
+    if token == "*":
+        return UNIT, end
+    if token[0] != '"':
+        try:
+            return int(token), end
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError("integer too long", i) from None
+    if not scalar.group(2):
+        raise ParseError("unterminated string" if end == len(s) else "bad escape", end)
+    return _ESCAPE.sub(r"\1", scalar.group(1)), end
 
 
 def _parse_sequence(s: str, i: int, depth: int) -> tuple[tuple, int]:

@@ -16,7 +16,7 @@ from string import ascii_lowercase
 from typing import Callable, Sequence
 
 from .bintree import ParseError, SizeLimit, Tree, encode, map_tree, render_ascii
-from .induction import bu, run_instrumented, td
+from .induction import _guard, bu, run_instrumented, td
 from .problems import PROBLEMS, get_problem, mix64
 from .tabulate import (
     InvalidLevel,
@@ -178,11 +178,6 @@ def _sweep_agreement(max_n: int, rng: Random) -> tuple[int, int]:
 # --- bench / solve ----------------------------------------------------------
 
 
-def _check_size(what: str, n: int) -> None:
-    if n > _MAX_N[what]:
-        raise SizeLimit(f"{what} is limited to {_MAX_N[what]} elements, got {n}")
-
-
 def _stats_report(problem: str, alg: str, xs: Sequence, result: object, stats) -> dict:
     return {
         "n": len(xs),
@@ -197,7 +192,7 @@ def _stats_report(problem: str, alg: str, xs: Sequence, result: object, stats) -
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    _check_size(args.alg, args.n)
+    _guard(args.n, _MAX_N[args.alg], args.alg)
     problem = get_problem(args.problem)
     xs = problem.generator(args.n, 0)
     result, stats = run_instrumented(args.alg, problem.solver, xs)
@@ -208,7 +203,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = get_problem(args.problem)
     xs = _parse_elements(args.input, _ascii_int if problem.domain == "numbers" else str)
-    _check_size(args.alg, len(xs))
+    _guard(len(xs), _MAX_N[args.alg], args.alg)
     result, stats = run_instrumented(args.alg, problem.solver, xs)
     print(result)
     print(json.dumps(_stats_report(args.problem, args.alg, xs, result, stats)))
@@ -234,7 +229,7 @@ def _parse_elements(text: str, parse_element: Callable[[str], object]) -> tuple:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    _check_size("render", len(args.input))
+    _guard(len(args.input), _MAX_N["render"], "render")
     table = choose(args.k, args.input)
     print(render_ascii(table) if args.format == "ascii" else encode(table))
     return EXIT_OK

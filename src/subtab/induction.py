@@ -23,6 +23,7 @@ from .tabulate import _joinable, _level, choose, retabulate
 
 E = TypeVar("E")
 S = TypeVar("S")
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,7 @@ def run_instrumented(
 
     The result is identical to the uninstrumented run.
     """
-    try:
-        driver, layers = _DRIVERS[alg]
-    except (KeyError, TypeError):
-        raise UnknownName(f"unknown algorithm {alg!r}; expected 'td' or 'bu'") from None
+    driver, layers = _named(_DRIVERS, alg, "algorithm")
 
     stats = CallStats(peak_nesting=layers)
     walked_sizes: set[int] = set()
@@ -190,19 +188,28 @@ def run_instrumented(
 def td_call_count(n: int) -> int:
     """g calls a top-down run on n elements makes: T(n) = 1 + n*T(n-1), T(0) = 0."""
     total = 0
-    for m in range(1, _guard(n, 20) + 1):
+    for m in range(1, _guard(n, 20, "td_call_count") + 1):
         total = 1 + m * total
     return total
 
 
 def bu_call_count(n: int) -> int:
     """g calls a bottom-up run on n elements makes: one per nonempty sublist."""
-    return (1 << _guard(n, 62)) - 1
+    return (1 << _guard(n, 62, "bu_call_count")) - 1
 
 
-def _guard(n: int, bound: int) -> int:
-    """n as a size argument, or SizeLimit when a count past bound is asked for."""
+def _guard(n: int, bound: int, what: str) -> int:
+    """n as a size argument, or SizeLimit past bound: every element-count limit."""
     n = _level(n, math.inf)
     if n > bound:
-        raise SizeLimit(f"count is astronomically large for n > {bound}")
+        raise SizeLimit(f"{what} is limited to {bound} elements, got {n}")
     return n
+
+
+def _named(table: dict[str, T], name: str, what: str) -> T:
+    """table[name], or UnknownName listing table's names: every name lookup."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        expected = ", ".join(map(repr, table))
+        raise UnknownName(f"unknown {what} {name!r}; expected one of {expected}") from None

@@ -11,8 +11,8 @@ from random import Random
 from string import ascii_lowercase
 from typing import Any, Callable, Sequence
 
-from .bintree import SizeLimit, Tree, UnknownName, flatten
-from .induction import Solver, _guard, td
+from .bintree import Tree, flatten
+from .induction import Solver, _guard, _named, td, td_call_count
 from .tabulate import _level
 
 Seq = Sequence
@@ -80,15 +80,13 @@ def digest_problem() -> Problem:
 
 
 def subtree_count(m: int) -> int:
-    """Closed form for the subtree-count solver: s(m) = 1 + m*s(m-1), s(0) = 1."""
-    total = 1
-    for j in range(1, _guard(m, 20) + 1):
-        total = 1 + j * total
-    return total
+    """Closed form for the subtree-count solver: td_call_count(m) g calls plus m! e calls."""
+    m = _guard(m, 20, "subtree_count")
+    return td_call_count(m) + math.factorial(m)
 
 
 def _subtree_count_g(ys: Seq, children: tuple[int, ...]) -> int:
-    _guard(len(ys), 20)
+    _guard(len(ys), 20, "subtree-count")
     return 1 + sum(children)
 
 
@@ -113,7 +111,7 @@ def min_removal_problem(cost: str) -> Problem:
     the element is removed; the empty sequence costs nothing.  cost is
     'sum' or 'max' over the current elements.
     """
-    step = _step_fn(cost)
+    step = _named(_STEPS, cost, "cost kind")
 
     def g(ys: Seq, children: tuple) -> Any:
         return step(ys) + min(children)
@@ -133,23 +131,14 @@ def brute_force_removal_oracle(cost: str, xs: Seq) -> Any:
     Deliberately ignorant of the lattice structure; usable up to 8
     elements, beyond which it raises SizeLimit.
     """
-    step = _step_fn(cost)
-    n = len(xs)
-    if n > 8:
-        raise SizeLimit(f"brute force is limited to 8 elements, got {n}")
+    step = _named(_STEPS, cost, "cost kind")
+    n = _guard(len(xs), 8, "brute force")
     # Both costs ignore element order, so the elements left after t
     # removals can be taken as the suffix order[t:] of the removal order.
     return min(
         sum(step(order[t:]) for t in range(n))
         for order in itertools.permutations(xs)
     )
-
-
-def _step_fn(cost: str) -> Callable[[Seq], Any]:
-    try:
-        return _STEPS[cost]
-    except (KeyError, TypeError):
-        raise UnknownName(f"unknown cost kind {cost!r}; expected 'sum' or 'max'") from None
 
 
 PROBLEMS: dict[str, Callable[[], Problem]] = {
@@ -161,8 +150,4 @@ PROBLEMS: dict[str, Callable[[], Problem]] = {
 
 
 def get_problem(name: str) -> Problem:
-    try:
-        make = PROBLEMS[name]
-    except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise UnknownName(f"unknown problem {name!r}") from None
-    return make()
+    return _named(PROBLEMS, name, "problem")()

@@ -24,6 +24,7 @@ from subtab import (
     check_functor_laws,
     check_naturality,
     choose,
+    decode,
     encode,
     flatten,
     is_tree,
@@ -319,6 +320,13 @@ def test_nodes_are_frozen_slotted_and_copy_and_pickle(node):
     for clone in clones:
         assert type(clone) is type(node)
         assert clone == node and hash(clone) == hash(node)
+
+
+def test_unit_stays_one_object():
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(UNIT, protocol)) is UNIT
+    assert copy.copy(UNIT) is UNIT and copy.deepcopy(UNIT) is UNIT
+    assert decode("Z(*)").payload is UNIT
 
 
 def test_node_classes_are_final():

@@ -107,9 +107,10 @@ def test_bench_is_deterministic_apart_from_wall_time(capsys):
 def test_bench_enforces_driver_size_limits(capsys):
     code, _, err = run(capsys, "bench", "--n", "10", "--alg", "td", "--problem", "digest")
     assert code == 3
-    assert "limited to 9" in err
+    assert err == "error: td is limited to 9 elements, got 10\n"
     code, _, err = run(capsys, "bench", "--n", "21", "--alg", "bu", "--problem", "digest")
     assert code == 3
+    assert err == "error: bu is limited to 20 elements, got 21\n"
     code, _, _ = run(capsys, "bench", "--n", "10", "--alg", "bu", "--problem", "digest")
     assert code == 0
 
@@ -195,7 +196,7 @@ def test_render_rejects_impossible_levels(capsys):
 def test_render_enforces_its_size_limit(capsys):
     code, out, err = run(capsys, "render", "--input", "a" * 21, "--k", "1")
     assert code == 3 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err == "error: render is limited to 20 elements, got 21\n"
     code, out, _ = run(capsys, "render", "--input", "a" * 20, "--k", "1")
     assert code == 0 and out.count('"a"') == 20
 

@@ -1,6 +1,8 @@
 """Text codec: grammar examples, error positions and round trips."""
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,9 @@ from subtab import (
     render_ascii,
 )
 from subtab.bintree import MAX_DEPTH
+
+# the most digits int() converts from a string; 0 where there is no limit
+MAX_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def test_encode_examples():
@@ -54,6 +59,8 @@ def test_decode_examples():
     assert decode("Z([])") == TipZ(())
     assert decode('Z([1,"a",*])') == TipZ((1, "a", UNIT))
     assert decode("S(Z(0))") == TipS(TipZ(0))
+    assert decode('Z("")') == TipZ("")
+    assert decode('Z("\\"\\\\")') == TipZ('"\\')
 
 
 def test_decode_accepts_noncanonical_integers():
@@ -83,6 +90,15 @@ def test_decode_accepts_noncanonical_integers():
         ("Z(-\u00b2)", 3),
         ("Z(1\u00b2)", 3),
         ("Z(\uff11)", 2),
+        ("Z(-)", 3),
+        ('Z("a\\', 4),
+        ("Z(*1)", 3),
+        pytest.param(
+            "Z(" + "9" * (MAX_INT_DIGITS + 1) + ")",
+            2,
+            marks=pytest.mark.skipif(not MAX_INT_DIGITS, reason="no limit on int() digits"),
+            id="over-long-integer",
+        ),
     ],
 )
 def test_decode_reports_the_offending_position(text, position):

@@ -321,9 +321,9 @@ def test_closed_form_values_frozen():
 
 def test_closed_form_guards():
     td_call_count(20)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match="^td_call_count is limited to 20 elements, got 21$"):
         td_call_count(21)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match="^bu_call_count is limited to 62 elements, got 63$"):
         bu_call_count(63)
     with pytest.raises(ValueError):
         td_call_count(-1)

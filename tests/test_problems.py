@@ -45,13 +45,14 @@ def test_registry():
 
 @pytest.mark.parametrize("name", [[], {}], ids=["list", "dict"])
 def test_unhashable_names_are_unknown(name):
-    with pytest.raises(UnknownName):
+    problems = "'digest', 'subtree-count', 'min-removal-sum', 'min-removal-max'"
+    with pytest.raises(UnknownName, match=f"^unknown problem .*; expected one of {problems}$"):
         get_problem(name)
-    with pytest.raises(UnknownName):
+    with pytest.raises(UnknownName, match="^unknown cost kind .*; expected one of 'sum', 'max'$"):
         min_removal_problem(name)
-    with pytest.raises(UnknownName):
+    with pytest.raises(UnknownName, match="^unknown cost kind .*; expected one of 'sum', 'max'$"):
         brute_force_removal_oracle(name, (1, 2))
-    with pytest.raises(UnknownName):
+    with pytest.raises(UnknownName, match="^unknown algorithm .*; expected one of 'td', 'bu'$"):
         run_instrumented(name, digest_problem().solver, (1, 2))
 
 
@@ -100,8 +101,14 @@ def test_subtree_count_solver_matches_oracle():
 
 def test_subtree_count_guards_long_inputs():
     p = subtree_count_problem()
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match="^subtree-count is limited to 20 elements, got 21$"):
         p.solver.g(tuple(range(21)), TipZ(1))
+    s = 1
+    for m in range(1, 21):
+        s = 1 + m * s
+    assert subtree_count(20) == s
+    with pytest.raises(SizeLimit, match="^subtree_count is limited to 20 elements, got 21$"):
+        subtree_count(21)
 
 
 def test_min_removal_hand_cases():
@@ -138,15 +145,16 @@ def test_min_removal_ignores_input_order(perm):
 
 
 def test_brute_force_limits_and_bad_cost():
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match="^brute force is limited to 8 elements, got 9$"):
         brute_force_removal_oracle("sum", tuple(range(9)))
     with pytest.raises(ValueError):
         min_removal_problem("median")
     with pytest.raises(ValueError):
         brute_force_removal_oracle("median", (1, 2))
-    with pytest.raises(UnknownName):
+    expected = "^unknown cost kind 'median'; expected one of 'sum', 'max'$"
+    with pytest.raises(UnknownName, match=expected):
         min_removal_problem("median")
-    with pytest.raises(UnknownName):
+    with pytest.raises(UnknownName, match=expected):
         brute_force_removal_oracle("median", (1, 2))
 
 
