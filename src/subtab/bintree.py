@@ -311,6 +311,9 @@ def flatten(t: Tree[P]) -> tuple[P, ...]:
 # and '\' are escaped, with a backslash.  Sequence payloads decode to
 # tuples; '[]' is the empty sequence.
 #
+# A tip holding a flat integer sequence, as every table over a numeric
+# source does, is read with one match and written with one join.
+#
 # Each 'Z(', 'S(', 'B(' and '[' opens one nesting level.  decode accepts
 # at most MAX_DEPTH levels, so that deep text fails with a ParseError at
 # the opener past the bound rather than exhausting the interpreter stack.
@@ -322,6 +325,8 @@ MAX_DEPTH = 300
 # group 1, and group 2 empty when it stops short of its closing quote.
 _SCALAR = re.compile(r'\*|-?[0-9]+|"([^"\\]*(?:\\["\\][^"\\]*)*)("?)')
 _ESCAPE = re.compile(r'\\(["\\])')
+# A tip with a flat integer sequence as its payload, the items in group 1.
+_INT_TIP = re.compile(r"[ZS]\(\[(-?[0-9]+(?:,-?[0-9]+)*)\]\)")
 
 
 def encode(t: Tree[P]) -> str:
@@ -359,12 +364,21 @@ def _encode_payload(p: object, parts: list[str], depth: int) -> None:
     elif isinstance(p, bool):
         raise TypeError("bool payloads have no default encoding")
     elif isinstance(p, int):
-        parts.append(str(p))
+        try:
+            parts.append(str(p))
+        except ValueError:  # more digits than the interpreter converts
+            raise SizeLimit("integer too long") from None
     elif isinstance(p, str):
         parts.append('"' + p.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif isinstance(p, tuple):
         if depth >= MAX_DEPTH:
             raise SizeLimit(f"nesting deeper than {MAX_DEPTH}")
+        if {int}.issuperset(map(type, p)):  # exact ints: no bool, no subclass
+            try:
+                parts.append("[" + ",".join(map(str, p)) + "]")
+            except ValueError:  # more digits than the interpreter converts
+                raise SizeLimit("integer too long") from None
+            return
         parts.append("[")
         for i, item in enumerate(p):
             if i:
@@ -396,6 +410,11 @@ def _parse_tree(s: str, i: int, depth: int) -> tuple[Tree, int]:
         raise ParseError(f"nesting deeper than {MAX_DEPTH}", i)
     c = s[i]
     if c in "ZS":
+        if depth < MAX_DEPTH and (tip := _INT_TIP.match(s, i)):
+            try:
+                return (TipZ if c == "Z" else TipS)(tuple(map(int, tip[1].split(",")))), tip.end()
+            except ValueError:  # an integer too long: the general path places it
+                pass
         i = _expect(s, i + 1, "(")
         payload, i = _parse_payload(s, i, depth)
         i = _expect(s, i, ")")

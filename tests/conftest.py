@@ -68,6 +68,7 @@ codec_payloads = st.recursive(
         st.just(UNIT),
         st.integers(-(10**9), 10**9),
         st.text(max_size=6),
+        st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=8).map(tuple),
     ),
     lambda inner: st.one_of(
         st.lists(inner, max_size=3).map(tuple),

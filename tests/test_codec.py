@@ -47,7 +47,7 @@ def test_encode_table_golden():
 
 
 def test_encode_rejects_unsupported_payloads():
-    for payload in [3.5, [1, 2], True, {"a": 1}, None]:
+    for payload in [3.5, [1, 2], True, {"a": 1}, None, (1, True)]:
         with pytest.raises(TypeError):
             encode(TipZ(payload))
 
@@ -99,6 +99,17 @@ def test_decode_accepts_noncanonical_integers():
             marks=pytest.mark.skipif(not MAX_INT_DIGITS, reason="no limit on int() digits"),
             id="over-long-integer",
         ),
+        ("Z([1,2)", 6),
+        ("Z([1,2]", 7),
+        ("Z([1,-])", 6),
+        ("S([1,2]x", 7),
+        ("Z([1,,2])", 5),
+        pytest.param(
+            "Z([1," + "9" * (MAX_INT_DIGITS + 1) + "])",
+            5,
+            marks=pytest.mark.skipif(not MAX_INT_DIGITS, reason="no limit on int() digits"),
+            id="over-long-integer-in-a-sequence",
+        ),
     ],
 )
 def test_decode_reports_the_offending_position(text, position):
@@ -112,6 +123,7 @@ DEEP_TEXTS = {
     "tips": lambda d: ("Z(" * d + "*" + ")" * d, 2 * (d - 1)),
     "branches": lambda d: ("B(" * (d - 1) + "Z(*)" + ",Z(*))" * (d - 1), 2 * (d - 1)),
     "sequences": lambda d: ("Z(" + "[" * (d - 1) + "]" * (d - 1) + ")", d),
+    "int-tips": lambda d: ("Z(" * (d - 1) + "[1,2]" + ")" * (d - 1), 2 * (d - 1)),
 }
 # One more level of the same kind around a tree, built by hand since
 # decode returns nothing that deep.
@@ -119,6 +131,7 @@ DEEPER = {
     "tips": TipZ,
     "branches": lambda t: Bin(t, TipZ(UNIT)),
     "sequences": lambda t: TipZ((t.payload,)),
+    "int-tips": TipZ,
 }
 
 
@@ -140,6 +153,16 @@ def test_decode_bounds_the_nesting_depth(kind):
         for write in (encode, render_ascii):
             with pytest.raises(SizeLimit):
                 write(tree)
+
+
+@pytest.mark.skipif(not MAX_INT_DIGITS, reason="no limit on int() digits")
+@pytest.mark.parametrize("shape", ["scalar", "int-sequence", "mixed-sequence"])
+def test_encode_and_render_reject_over_long_integers(shape):
+    big = 10**MAX_INT_DIGITS  # one digit more than str() converts
+    payload = {"scalar": big, "int-sequence": (1, big), "mixed-sequence": ("a", big)}[shape]
+    for write in (encode, render_ascii):
+        with pytest.raises(SizeLimit):
+            write(TipZ(payload))
 
 
 GRAMMAR_PIECES = ["Z(", "S(", "B(", ")", ",", "*", "-", "[", "]", '"', "\\", "0", "7", "\u00b2", "\uff11"]
