@@ -255,20 +255,27 @@ def size(t: Tree[P]) -> int:
 
 def map_tree(f: Callable[[P], Q], t: Tree[P]) -> Tree[Q]:
     """Apply f to every payload, preserving the skeleton."""
-    if t.__class__ is Bin:
-        return Bin(map_tree(f, t.left), map_tree(f, t.right))
-    if t.__class__ is TipZ or t.__class__ is TipS:
-        return t.__class__(f(t.payload))
-    raise ShapeError(f"not a tree: {type(t).__name__}")
+    return zip_with(lambda p, _: f(p), t, t)
 
 
 def zip_with(f: Callable[[P, Q], R], t: Tree[P], u: Tree[Q]) -> Tree[R]:
-    """Combine two trees with identical skeletons payload by payload."""
-    if t.__class__ is Bin and u.__class__ is Bin:
-        return Bin(zip_with(f, t.left, u.left), zip_with(f, t.right, u.right))
-    if t.__class__ is u.__class__ and (t.__class__ is TipZ or t.__class__ is TipS):
-        return t.__class__(f(t.payload, u.payload))
-    raise ShapeError(f"cannot zip {type(t).__name__} with {type(u).__name__}")
+    """Combine two trees with identical skeletons payload by payload, in
+    flatten order, looping down each left spine: no recursion."""
+    done, todo = [], [(t, u)]
+    while todo:
+        item = todo.pop()
+        if item is None:  # the last two built are the subtrees of a Bin
+            done.append(Bin(done.pop(-2), done.pop()))
+            continue
+        t, u = item
+        while t.__class__ is Bin and u.__class__ is Bin:
+            todo += (None, (t.right, u.right))
+            t, u = t.left, u.left
+        if t.__class__ is not u.__class__ or not (t.__class__ is TipZ or t.__class__ is TipS):
+            raise ShapeError(f"not a tree: {type(t).__name__}" if t is u  # as under map_tree
+                             else f"cannot zip {type(t).__name__} with {type(u).__name__}")
+        done.append(t.__class__(f(t.payload, u.payload)))
+    return done[0]
 
 
 def un_tip(t: Tree[P]) -> P:
@@ -281,20 +288,13 @@ def un_tip(t: Tree[P]) -> P:
 def flatten(t: Tree[P]) -> tuple[P, ...]:
     """All payloads in left-to-right order."""
     acc: list[P] = []
-    # a right subtree joins pending only while its left sibling, a branch,
-    # is walked, so a right spine (every children table) pushes nothing
     pending = [t]
     try:
         while pending:
             t = pending.pop()
             while t.__class__ is Bin:
-                left = t.left
-                if left.__class__ is Bin:
-                    pending.append(t.right)
-                    t = left
-                else:
-                    acc.append(left.payload)
-                    t = t.right
+                pending.append(t.right)
+                t = t.left
             acc.append(t.payload)
     except AttributeError:  # only a non-node lacks .payload
         raise ShapeError("not a tree") from None

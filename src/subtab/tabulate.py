@@ -113,31 +113,33 @@ def retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
     The result is valid at (n, k+1); each payload is itself a (k+1, k)
     table grouping the entries of t at all immediate sublists of one
     (k+1)-sublist, ordered with the sublist omitting the newest element
-    first.  k runs over 0..n-1.  t is validated once up front;
-    recursive calls skip the re-check.
+    first.  k runs over 0..n-1.  t is validated once up front.
     """
     n = _level(n, math.inf)
     k = _level(k, n - 1)
     if not validate_shape(t, n, k):
         raise ShapeError(f"tree does not validate at ({n}, {k})")
-    return _retabulate(n, k, t)
+    if k:  # each payload is a (k+1, k) table grown by one full tip, to (k+2, k+1)
+        return _raise(t, lambda w, u: Bin(TipS(w), u), lambda u: u)
+    return map_tree(lambda _: t, blank(n, 1))  # each payload is the (1, 0) table t
 
 
-def _retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
-    if isinstance(t, TipZ):
-        if n == 1:
-            return TipS(TipZ(t.payload))
-        return Bin(_retabulate(n - 1, 0, t), TipZ(TipZ(t.payload)))
-    # each payload is a (k+1, k) table grown by one full tip, to (k+2, k+1)
-    left, right = t.left, t.right
-    if isinstance(left, TipS):
-        return TipS(Bin(left, right))
-    if isinstance(right, TipZ):
-        return Bin(_retabulate(n - 1, k, left), map_tree(lambda w: Bin(TipS(w), right), left))
-    return Bin(
-        _retabulate(n - 1, k, left),
-        zip_with(lambda w, u: Bin(TipS(w), u), left, _retabulate(n - 1, k - 1, right)),
-    )
+def _raise(t: Tree[P], cons: Callable, whole: Callable) -> Tree:
+    """Level raising of a branch t at level k >= 1: whole(s) is the group of
+    a (k+1, k) subtree s, and cons(w, group) grows a group by w.  A loop
+    walks t's left spine; only a right branch, a level lower, nests."""
+    spine = []
+    while t.left.__class__ is Bin:
+        spine.append(t)
+        t = t.left
+    raised = TipS(whole(t))
+    for t in reversed(spine):
+        if t.right.__class__ is Bin:
+            raised = Bin(raised, zip_with(cons, t.left, _raise(t.right, cons, whole)))
+        else:  # a tip, so every group gains the same one
+            group = whole(t.right)
+            raised = Bin(raised, map_tree(lambda w: cons(w, group), t.left))
+    return raised
 
 
 def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:
@@ -147,20 +149,18 @@ def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:
     (n, k) with 1 <= k < n.  Kept for cross-checking; retabulate is the
     primary form.
     """
-    match t:
-        case Bin(TipZ(y) | TipS(y), TipZ(z) | TipS(z)):
-            return TipS((y, z))
-        case Bin(TipZ(y) | TipS(y), u):
-            return TipS((y,) + un_tip(cd_classic(u)))
-        case Bin(left, TipZ(z) | TipS(z)):
-            return Bin(cd_classic(left), map_tree(lambda w: (w, z), left))
-        case Bin(left, right):
-            return Bin(
-                cd_classic(left),
-                zip_with(lambda w, ws: (w,) + ws, left, cd_classic(right)),
-            )
-        case _:
-            raise ShapeError("a bare tip has no level above it")
+    if t.__class__ is not Bin:
+        raise ShapeError("a bare tip has no level above it")
+    return _raise(t, lambda w, ws: (w,) + ws, _right_spine_tips)
+
+
+def _right_spine_tips(t: Tree[P]) -> tuple[P, ...]:
+    """The payloads of a right spine of tips, such as a (k+1, k) table."""
+    tips = []
+    while t.__class__ is Bin:
+        tips.append(un_tip(t.left))
+        t = t.right
+    return (*tips, un_tip(t))
 
 
 def check_spec_equation(k: int, xs: Seq[E]) -> bool:

@@ -114,6 +114,27 @@ def test_zip_with_pairs_matching_positions():
     assert zipped == Bin(TipS(("b", "b")), TipZ(("a", "a")))
 
 
+@pytest.mark.parametrize(
+    "t, payloads",
+    [(blank(10, 5), comb(10, 5)), (choose(4, "abcdefgh"), comb(8, 4))],
+    ids=["blank", "choose"],
+)
+def test_map_tree_and_zip_with_call_f_once_per_payload_in_flatten_order(t, payloads):
+    # blank shares equal subtrees, and each shared payload is still one call
+    calls = []
+
+    def record(*payloads):
+        calls.append(payloads)
+        return len(calls) - 1
+
+    numbered = map_tree(record, t)
+    assert calls == [(p,) for p in flatten(t)]
+    assert flatten(numbered) == tuple(range(payloads))
+    calls.clear()
+    assert flatten(zip_with(record, t, numbered)) == flatten(numbered)
+    assert calls == list(zip(flatten(t), flatten(numbered)))
+
+
 def test_zip_with_rejects_mismatched_skeletons():
     with pytest.raises(ShapeError):
         zip_with(lambda a, b: a, TipZ(1), TipS(1))

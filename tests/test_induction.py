@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import inspect
 import sys
+import weakref
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from math import comb, factorial
@@ -158,6 +159,30 @@ def test_bu_recursion_depth_is_bounded_by_the_level_not_by_n():
             bu(Solver(e=lambda: 0, g=g), tuple(range(150)))
     finally:
         sys.setrecursionlimit(limit)
+
+
+class _Answer:
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("source", [tuple(range(12)), "abcdefghijkl"], ids=["tuple", "str"])
+def test_bu_keeps_two_levels_of_answers_live(source):
+    # while level k + 1 is answered, level k - 1 must be gone
+    for n in range(1, len(source) + 1):
+        live = weakref.WeakSet()
+        excess = []
+
+        def answer():
+            live.add(result := _Answer())
+            return result
+
+        def g(ys, children):
+            k = len(ys) - 1
+            excess.append(len(live) - comb(n, k) - comb(n, k + 1))
+            return answer()
+
+        bu(Solver(e=answer, g=g), source[:n])
+        assert len(excess) == 2**n - 1 and max(excess) <= 0
 
 
 def test_drivers_pass_children_as_a_tuple_of_answers():

@@ -1,6 +1,8 @@
 """Sublist tables, level raising and the laws tying them together."""
 from __future__ import annotations
 
+import inspect
+import sys
 from collections import Counter
 from math import comb
 
@@ -30,6 +32,7 @@ from subtab import (
     subtree_count,
     td_call_count,
     validate_shape,
+    zip_with,
 )
 
 # hand-expanded from the shape rules, payload by payload
@@ -212,6 +215,46 @@ def test_cd_classic_rejects_a_right_subtree_that_stays_a_branch():
     # a tip beside a right subtree that does not raise to a single tip
     with pytest.raises(ShapeError):
         cd_classic(Bin(TipS(1), Bin(Bin(TipS(2), TipZ(3)), TipZ(4))))
+
+
+def _depth_cases(n):
+    """Calls on (n, 1) and (n, n - 1) tables and on an n-deep left chain,
+    each with the size of the tree it returns, or the laws' verdicts."""
+    low, high = choose(1, tuple(range(n))), choose(n - 1, tuple(range(n)))
+    chain = TipS(0)  # a valid (n + 1, 1) table, as the deep chains in test_bintree
+    for i in range(1, n + 1):
+        chain = Bin(chain, TipZ(i))
+    pair = lambda a, b: (a, b)
+    return {
+        "map_tree-k=1": (lambda: map_tree(str, low), n),
+        "map_tree-k=n-1": (lambda: map_tree(str, high), n),
+        "zip_with-k=1": (lambda: zip_with(pair, low, low), n),
+        "zip_with-k=n-1": (lambda: zip_with(pair, high, high), n),
+        "retabulate-k=1": (lambda: retabulate(n, 1, low), comb(n, 2)),
+        "retabulate-k=n-1": (lambda: retabulate(n, n - 1, high), 1),
+        "cd_classic-k=1": (lambda: cd_classic(low), comb(n, 2)),
+        "cd_classic-k=n-1": (lambda: cd_classic(high), 1),
+        "retabulate-k=0": (lambda: retabulate(n, 0, TipZ(0)), n),
+        "check_functor_laws": (lambda: check_functor_laws(low, len, list), (True, True)),
+        "check_naturality": (lambda: check_naturality(n, 1, low, TipZ(0), str), (True, True)),
+        "map_tree-chain": (lambda: map_tree(str, chain), n + 1),
+        "zip_with-chain": (lambda: zip_with(pair, chain, chain), n + 1),
+        "retabulate-chain": (lambda: retabulate(n + 1, 1, chain), comb(n + 1, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", _depth_cases(1))
+def test_tree_functions_do_not_recurse_per_tree_level(name):
+    call, expected = _depth_cases(300)[name]
+    # a recursion once per level of a 300-deep tree would overflow; the
+    # codec stays out, as it recurses up to MAX_DEPTH by design
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        result = call()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (result if type(result) is tuple else size(result)) == expected
 
 
 def test_level_raising_equation_sweep():
