@@ -100,8 +100,8 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
                 cd(size, j - 1, mid, shift + 1)
 
         cd(n, k, 0, 0)
+        keys = sublists  # level k's keys are dropped before g runs
         level = list(map(solver.g, sublists, zip(*columns)))
-        keys = sublists
     return level[0]
 
 

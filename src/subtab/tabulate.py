@@ -126,41 +126,45 @@ def retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
 
 def _raise(t: Tree[P], cons: Callable, whole: Callable) -> Tree:
     """Level raising of a branch t at level k >= 1: whole(s) is the group of
-    a (k+1, k) subtree s, and cons(w, group) grows a group by w.  A loop
-    walks t's left spine; only a right branch, a level lower, nests."""
-    spine = []
-    while t.left.__class__ is Bin:
-        spine.append(t)
-        t = t.left
-    raised = TipS(whole(t))
-    for t in reversed(spine):
-        if t.right.__class__ is Bin:
-            raised = Bin(raised, zip_with(cons, t.left, _raise(t.right, cons, whole)))
-        else:  # a tip, so every group gains the same one
-            group = whole(t.right)
-            raised = Bin(raised, map_tree(lambda w: cons(w, group), t.left))
-    return raised
+    a (k+1, k) subtree s, and cons(w, group) grows a group by w.  One loop,
+    in post-order: at a marker (t,), t's raised subtrees are joined."""
+    done, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is tuple:  # t's left subtree is raised, and its right if a branch
+            t, = t
+            if t.right.__class__ is Bin:
+                right = zip_with(cons, t.left, done.pop())
+            else:  # a tip, so every group gains the same one
+                group = whole(t.right)
+                right = map_tree(lambda w: cons(w, group), t.left)
+            done[-1] = Bin(done[-1], right)
+        elif t.left.__class__ is Bin:
+            todo.append((t,))
+            if t.right.__class__ is Bin:
+                todo.append(t.right)
+            todo.append(t.left)
+        else:  # a (k+1, k) table
+            done.append(TipS(whole(t)))
+    return done[0]
 
 
 def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:
     """Flat variant of level raising: payloads are tuples, not tables.
 
     Matches map_tree(flatten, retabulate(n, k, t)) on any t valid at some
-    (n, k) with 1 <= k < n.  Kept for cross-checking; retabulate is the
-    primary form.
+    (n, k) with 1 <= k < n, and raises ShapeError on any other t.  Kept
+    for cross-checking; retabulate is the primary form.
     """
-    if t.__class__ is not Bin:
-        raise ShapeError("a bare tip has no level above it")
-    return _raise(t, lambda w, ws: (w,) + ws, _right_spine_tips)
-
-
-def _right_spine_tips(t: Tree[P]) -> tuple[P, ...]:
-    """The payloads of a right spine of tips, such as a (k+1, k) table."""
-    tips = []
-    while t.__class__ is Bin:
-        tips.append(un_tip(t.left))
-        t = t.right
-    return (*tips, un_tip(t))
+    lefts = k = 0  # a valid t has n - k branches down its left spine, k down its right
+    left = right = t
+    while left.__class__ is Bin:
+        lefts, left = lefts + 1, left.left
+    while right.__class__ is Bin:
+        k, right = k + 1, right.right
+    if not (k >= 1 and validate_shape(t, lefts + k, k)):
+        raise ShapeError("tree is valid at no (n, k) with 1 <= k < n")
+    return _raise(t, lambda w, ws: (w,) + ws, flatten)
 
 
 def check_spec_equation(k: int, xs: Seq[E]) -> bool:
@@ -171,14 +175,10 @@ def check_spec_equation(k: int, xs: Seq[E]) -> bool:
     the table (resp. tuple) of its own immediate sublists.  The tuple-form
     comparison via cd_classic applies only for k >= 1.
     """
-    n = len(xs)
-    k = _level(k, n - 1)
     table = choose(k, xs)
     keys = choose(k + 1, xs)
-    nested_ok = retabulate(n, k, table) == map_tree(lambda ys: choose(k, ys), keys)
-    if k == 0:
-        return nested_ok
-    flat_ok = cd_classic(table) == map_tree(lambda ys: flatten(choose(k, ys)), keys)
+    nested_ok = retabulate(len(xs), k, table) == map_tree(lambda ys: choose(k, ys), keys)
+    flat_ok = k == 0 or cd_classic(table) == map_tree(lambda ys: flatten(choose(k, ys)), keys)
     return nested_ok and flat_ok
 
 
@@ -205,7 +205,5 @@ def check_naturality(
 def check_rotation(n: int, k: int) -> bool:
     """Does raising the blank (n, k) table give blank (k+1, k) payloads
     arranged in the blank (n, k+1) skeleton?"""
-    n = _level(n, math.inf)
-    k = _level(k, n - 1)
-    expected = map_tree(lambda _: blank(k + 1, k), blank(n, k + 1))
-    return retabulate(n, k, blank(n, k)) == expected
+    raised = retabulate(n, k, blank(n, k))  # checks n and k
+    return raised == map_tree(lambda _: blank(k + 1, k), blank(n, k + 1))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import inspect
+import random
 import sys
 from collections import Counter
 from math import comb
@@ -217,9 +218,36 @@ def test_cd_classic_rejects_a_right_subtree_that_stays_a_branch():
         cd_classic(Bin(TipS(1), Bin(Bin(TipS(2), TipZ(3)), TipZ(4))))
 
 
+@pytest.mark.parametrize("t", [Bin(TipZ(0), TipZ(1)), Bin(TipZ(0), Bin(TipZ(1), TipS(2)))])
+def test_cd_classic_rejects_trees_valid_at_no_level(t):
+    with pytest.raises(ShapeError):
+        cd_classic(t)
+
+
+def _random_tree(rng, depth):
+    """A tree at most depth nodes deep, a branch by chance: mostly malformed."""
+    if depth > 1 and rng.random() < 0.6:
+        return Bin(_random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+    return rng.choice((TipZ, TipS))(rng.randrange(10))
+
+
+def test_cd_classic_raises_exactly_where_no_level_validates():
+    rng = random.Random(2503)
+    for _ in range(2000):
+        t = Bin(_random_tree(rng, 4), _random_tree(rng, 4))  # a branch of depth <= 5
+        levels = [(n, k) for n in range(2, 9) for k in range(1, n) if validate_shape(t, n, k)]
+        if not levels:
+            with pytest.raises(ShapeError):
+                cd_classic(t)
+        else:
+            [(n, k)] = levels
+            assert cd_classic(t) == map_tree(flatten, retabulate(n, k, t))
+
+
 def _depth_cases(n):
-    """Calls on (n, 1) and (n, n - 1) tables and on an n-deep left chain,
-    each with the size of the tree it returns, or the laws' verdicts."""
+    """Calls on (n, 1), (n, n - 2) and (n, n - 1) tables and on an n-deep
+    left chain, each with the size of the tree it returns, or the laws'
+    verdicts."""
     low, high = choose(1, tuple(range(n))), choose(n - 1, tuple(range(n)))
     chain = TipS(0)  # a valid (n + 1, 1) table, as the deep chains in test_bintree
     for i in range(1, n + 1):
@@ -235,6 +263,9 @@ def _depth_cases(n):
         "cd_classic-k=1": (lambda: cd_classic(low), comb(n, 2)),
         "cd_classic-k=n-1": (lambda: cd_classic(high), 1),
         "retabulate-k=0": (lambda: retabulate(n, 0, TipZ(0)), n),
+        "retabulate-k=n-2": (lambda: retabulate(n, n - 2, blank(n, n - 2)), n),
+        "cd_classic-k=n-2": (lambda: cd_classic(blank(n, n - 2)), n),
+        "check_rotation-k=n-2": (lambda: (check_rotation(n, n - 2),), (True,)),
         "check_functor_laws": (lambda: check_functor_laws(low, len, list), (True, True)),
         "check_naturality": (lambda: check_naturality(n, 1, low, TipZ(0), str), (True, True)),
         "map_tree-chain": (lambda: map_tree(str, chain), n + 1),
@@ -246,8 +277,10 @@ def _depth_cases(n):
 @pytest.mark.parametrize("name", _depth_cases(1))
 def test_tree_functions_do_not_recurse_per_tree_level(name):
     call, expected = _depth_cases(300)[name]
-    # a recursion once per level of a 300-deep tree would overflow; the
-    # codec stays out, as it recurses up to MAX_DEPTH by design
+    # a recursion once per level of a 300-deep tree, or once per level
+    # drop in raising a (300, 298) table, would overflow; no tree function
+    # recurses, and the codec stays out, as it recurses up to MAX_DEPTH by
+    # design
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
