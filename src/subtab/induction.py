@@ -45,18 +45,26 @@ def td(solver: Solver[E, S], xs: Sequence[E]) -> S:
 
     The children of ys drop its positions in turn, first to last, which
     is flatten(choose(len(ys) - 1, ys)) order, and no table is built.  xs
-    is read as choose reads it, a range as a tuple.  Shared sublists are
-    recomputed, so g calls grow superexponentially; see td_call_count.
+    is read as choose reads it, a range as a tuple.  Recursion stops at
+    singletons, whose one child is e(), and calls e and g in the order a
+    descent to the empty sequence would.  Shared sublists are recomputed,
+    so g calls grow superexponentially (td_call_count); past 20 elements
+    td raises SizeLimit.
     """
     xs, _ = _joinable(xs)
+    _guard(len(xs), 20, "td")
     e, g = solver.e, solver.g
 
     def solve(ys: Sequence[E]) -> S:
-        if not ys:
-            return e()
-        return g(ys, tuple([solve(ys[:i] + ys[i + 1 :]) for i in range(len(ys))]))
+        m = len(ys)
+        if m == 1:
+            return g(ys, (e(),))
+        children = []
+        for i in range(m):
+            children.append(solve(ys[:i] + ys[i + 1 :]))
+        return g(ys, tuple(children))
 
-    return solve(xs)
+    return solve(xs) if xs else e()
 
 
 def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
@@ -146,8 +154,11 @@ class CallStats:
 def _nesting_depth(t: tuple | Tree) -> int:
     """1 for a flat table (a tuple or a tree), 2 for a table of tables, and
     so on; payloads that are themselves trees count as nested tables."""
-    items = t if type(t) is tuple else flatten(t)
-    return 1 + max((_nesting_depth(p) for p in items if is_tree(p)), default=0)
+    depth, level = 0, [t]
+    while level:  # the tables one nesting level down, until none is left
+        depth += 1
+        level = [p for u in level for p in (u if type(u) is tuple else flatten(u)) if is_tree(p)]
+    return depth
 
 
 def run_instrumented(

@@ -53,12 +53,11 @@ _PACK = functools.cache(lambda m: struct.Struct(f"<{m}Q").pack)  # m children as
 
 
 def _digest_g(ys: Seq, children: tuple[int, ...] | Tree[int]) -> int:
-    """mix64 of ys's repr and its packed children, fed to the hash in turn."""
+    """mix64 of one message: ys's repr followed by its packed children."""
     # perfbench/reference.py's memoised_top_down passes a right-spine table
     kids = children if type(children) is tuple else flatten(children)
-    h = blake2b(repr(tuple(ys)).encode(), digest_size=8)
-    h.update(_PACK(len(kids))(*kids))
-    return int.from_bytes(h.digest(), "little")
+    message = repr(tuple(ys)).encode() + _PACK(len(kids))(*kids)
+    return int.from_bytes(blake2b(message, digest_size=8).digest(), "little")
 
 
 def digest_problem() -> Problem:

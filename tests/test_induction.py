@@ -120,6 +120,53 @@ def test_td_reads_a_range_as_a_tuple_at_every_call():
     assert answers[0] == answers[1] == bu_spec(DIGEST, xs)
 
 
+def _descent_events(xs):
+    """The e and g calls of a top-down recursion that stops at the empty
+    sequence; each answer is the number of events logged so far."""
+    events = []
+
+    def solve(ys):
+        if not ys:
+            events.append(("e",))
+        else:
+            children = tuple(solve(ys[:i] + ys[i + 1 :]) for i in range(len(ys)))
+            events.append(("g", ys, children))
+        return len(events)
+
+    solve(xs)
+    return events
+
+
+@pytest.mark.parametrize("make", [SOURCES[name] for name in ("tuple", "str", "range")],
+                         ids=["tuple", "str", "range"])
+def test_td_calls_e_and_g_as_a_descent_to_the_empty_sequence(make):
+    for n in range(7):
+        xs = make(n)
+        events = []
+
+        def e():
+            events.append(("e",))
+            return len(events)
+
+        def g(ys, children):
+            events.append(("g", ys, children))
+            return len(events)
+
+        answer = td(Solver(e=e, g=g), xs)
+        want = _descent_events(tuple(xs) if type(xs) is range else xs)
+        assert events == want
+        assert answer == len(want)
+
+
+@pytest.mark.parametrize("xs", [tuple(range(21)), range(2000)], ids=["21", "2000"])
+def test_td_is_limited_to_20_elements(xs):
+    calls = []
+    solver = Solver(e=lambda: 0, g=lambda ys, children: calls.append(ys))
+    with pytest.raises(SizeLimit, match=f"^td is limited to 20 elements, got {len(xs)}$"):
+        td(solver, xs)
+    assert calls == []
+
+
 def test_bu_calls_g_like_its_tree_spec():
     def recording(calls):
         def g(ys, children):
@@ -323,6 +370,21 @@ def test_peak_nesting_counts_answers_that_are_tables():
     for alg, expected in profiles.items():
         runs = [run_instrumented(alg, tables, tuple(range(n))) for n in range(5)]
         assert [stats.peak_nesting for _, stats in runs] == expected
+
+
+def test_peak_nesting_walk_does_not_recurse_per_nesting_level():
+    deep = 0
+    for _ in range(300):
+        deep = TipZ(deep)
+    solver = Solver(e=lambda: deep, g=lambda ys, children: children[0])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        result, stats = run_instrumented("td", solver, (1,))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result is deep
+    assert stats.peak_nesting == 301  # the children tuple and 300 tables
 
 
 def test_instrumentation_does_not_change_the_result():
