@@ -7,6 +7,7 @@ sublist-induction solvers over the lattice top-down or bottom-up.
 
 from .bintree import (
     Bin,
+    InvalidLevel,
     ParseError,
     ShapeError,
     SizeLimit,
@@ -46,7 +47,6 @@ from .problems import (
     subtree_count_problem,
 )
 from .tabulate import (
-    InvalidLevel,
     blank,
     cd_classic,
     check_functor_laws,

@@ -12,10 +12,11 @@ Nothing validates at k > n.  Trees are immutable and compare structurally.
 """
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import FrozenInstanceError
-from typing import Callable, Generic, TypeVar, Union
+from typing import Callable, Generic, Iterator, TypeVar, Union
 
 P = TypeVar("P")
 Q = TypeVar("Q")
@@ -41,6 +42,25 @@ class SizeLimit(ValueError):
 
 class UnknownName(ValueError):
     """A problem, driver or cost kind looked up by a name that has none."""
+
+
+class InvalidLevel(ValueError):
+    """A level or size argument that is not an integer in its range.
+
+    Levels run over 0..n (0..n-1 where a level above must exist), sizes
+    over the naturals; floats, strings and None never pass, bools do.
+    """
+
+
+def _level(value: object, top: float) -> int:
+    """value as an int in 0..top, else InvalidLevel: every level and size check."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise InvalidLevel(f"not an integer: {value!r}") from None
+    if not 0 <= k <= top:
+        raise InvalidLevel(f"{k} is outside 0..{top}")
+    return k
 
 
 class _Unit:
@@ -74,6 +94,8 @@ class _Node:
         if any(base is not _Node and issubclass(base, _Node) for base in cls.__bases__):
             raise TypeError(f"tree node classes cannot be subclassed: {cls.__name__}")
         super().__init_subclass__(**kwargs)
+        names = cls.__match_args__  # _labels: what __repr__ prints before each field, last first
+        cls._labels = (*(f", {name}=" for name in reversed(names[1:])), f"{names[0]}=")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -106,34 +128,33 @@ class _Node:
     def __hash__(self) -> int:
         # each class has a fixed number of fields, so the preorder of
         # classes and payloads determines the tree
-        parts: list[object] = []
-        pending: list[object] = [self]
-        while pending:
-            x = pending.pop()
-            if isinstance(x, _Node):
-                parts.append(x.__class__)
-                pending.extend(reversed(x._fields()))
-            else:
-                parts.append(x)
-        return hash(tuple(parts))
+        return hash(tuple(x.__class__ if isinstance(x, _Node) else x for x in _preorder(self)))
 
     def __repr__(self) -> str:
         parts: list[str] = []
-        # nodes still to print, and text already rendered, last item first
-        pending: list[object] = [self]
-        while pending:
-            x = pending.pop()
-            if not isinstance(x, _Node):
-                parts.append(x)
+        labels: list[list[str]] = []  # for each open node, the labels still to print
+        for x in _preorder(self):
+            if labels:
+                parts.append(labels[-1].pop())
+            if isinstance(x, _Node):
+                parts.append(f"{x.__class__.__qualname__}(")
+                labels.append(list(x._labels))
                 continue
-            parts.append(f"{x.__class__.__qualname__}(")
-            pending.append(")")
-            names, values = x.__match_args__, x._fields()
-            for i in range(len(names) - 1, -1, -1):
-                value = values[i]
-                pending.append(value if isinstance(value, _Node) else repr(value))
-                pending.append(f", {names[i]}=" if i else f"{names[i]}=")
+            parts.append(repr(x))
+            while labels and not labels[-1]:  # the node's last field is printed
+                labels.pop()
+                parts.append(")")
         return "".join(parts)
+
+
+def _preorder(x: object) -> Iterator[object]:
+    """x, then each node's fields in order below it, payload trees included."""
+    pending = [x]
+    while pending:
+        x = pending.pop()
+        yield x
+        if isinstance(x, _Node):
+            pending.extend(reversed(x._fields()))
 
 
 class TipZ(_Node, Generic[P]):
@@ -228,10 +249,9 @@ def is_tree(x: object) -> bool:
 def validate_shape(t: Tree[P], n: int, k: int) -> bool:
     """Total check that t is well-formed for shape (n, k); False for non-integer n or k."""
     try:
-        n, k = operator.index(n), operator.index(k)
-    except TypeError:
-        return False
-    if not 0 <= k <= n:
+        n = _level(n, math.inf)
+        k = _level(k, n)
+    except ValueError:  # InvalidLevel, or str() failing on a level too long for its message
         return False
     # children of a valid branch keep 0 <= k <= n, so one check suffices
     pending = [(t, n, k)]
@@ -365,7 +385,7 @@ def _encode_payload(p: object, parts: list[str], depth: int) -> None:
         raise TypeError("bool payloads have no default encoding")
     elif isinstance(p, int):
         try:
-            parts.append(str(p))
+            parts.append(int.__repr__(p))  # an int subclass's str() may not be digits
         except ValueError:  # more digits than the interpreter converts
             raise SizeLimit("integer too long") from None
     elif isinstance(p, str):

@@ -15,11 +15,10 @@ from random import Random
 from string import ascii_lowercase
 from typing import Callable, Sequence
 
-from .bintree import ParseError, SizeLimit, Tree, encode, map_tree, render_ascii
+from .bintree import InvalidLevel, ParseError, SizeLimit, Tree, encode, map_tree, render_ascii
 from .induction import _guard, bu, run_instrumented, td
 from .problems import PROBLEMS, get_problem, mix64
 from .tabulate import (
-    InvalidLevel,
     blank,
     check_functor_laws,
     check_naturality,

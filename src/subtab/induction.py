@@ -17,9 +17,9 @@ from itertools import repeat
 from typing import Callable, Generic, Sequence, TypeVar
 
 from .bintree import (
-    SizeLimit, TipZ, Tree, UnknownName, flatten, is_tree, map_tree, un_tip, zip_with,
+    SizeLimit, TipZ, Tree, UnknownName, _level, flatten, is_tree, map_tree, un_tip, zip_with,
 )
-from .tabulate import _joinable, _level, choose, retabulate
+from .tabulate import _joinable, choose, retabulate
 
 E = TypeVar("E")
 S = TypeVar("S")

@@ -11,9 +11,8 @@ from random import Random
 from string import ascii_lowercase
 from typing import Any, Callable, Sequence
 
-from .bintree import Tree, flatten
+from .bintree import Tree, _level, flatten
 from .induction import Solver, _guard, _named, td, td_call_count
-from .tabulate import _level
 
 Seq = Sequence
 

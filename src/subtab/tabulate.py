@@ -9,16 +9,17 @@ entries at all of its immediate sublists.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable, Sequence, TypeVar
 
 from .bintree import (
     Bin,
+    InvalidLevel,  # re-exported: subtab.tabulate.InvalidLevel is subtab.InvalidLevel
     ShapeError,
     TipS,
     TipZ,
     Tree,
     UNIT,
+    _level,
     flatten,
     map_tree,
     un_tip,
@@ -30,25 +31,6 @@ E = TypeVar("E")
 P = TypeVar("P")
 
 Seq = Sequence
-
-
-class InvalidLevel(ValueError):
-    """A level or size argument that is not an integer in its range.
-
-    Levels run over 0..n (0..n-1 where a level above must exist), sizes
-    over the naturals; floats, strings and None never pass, bools do.
-    """
-
-
-def _level(value: object, top: float) -> int:
-    """value as an int in 0..top, else InvalidLevel: every level and size check."""
-    try:
-        k = operator.index(value)
-    except TypeError:
-        raise InvalidLevel(f"not an integer: {value!r}") from None
-    if not 0 <= k <= top:
-        raise InvalidLevel(f"{k} is outside 0..{top}")
-    return k
 
 
 def choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import copy
+import functools
 import pickle
+from array import array
 from dataclasses import FrozenInstanceError
 from math import comb
 from pathlib import Path
@@ -13,25 +15,36 @@ from hypothesis import assume, given, strategies as st
 import subtab
 from conftest import all_unit_trees, fill_tree, shaped_trees, unit_skeletons
 from subtab import (
+    PROBLEMS,
     Bin,
+    InvalidLevel,
+    ParseError,
     ShapeError,
+    SizeLimit,
     TipS,
     TipZ,
     Tree,
     UNIT,
+    UnknownName,
     blank,
+    bu_call_count,
     cd_classic,
     check_functor_laws,
     check_naturality,
+    check_rotation,
+    check_spec_equation,
     choose,
     decode,
     encode,
     flatten,
+    get_problem,
     is_tree,
     map_tree,
     render_ascii,
     retabulate,
     size,
+    subtree_count,
+    td_call_count,
     un_tip,
     validate_shape,
     zip_with,
@@ -276,6 +289,85 @@ def test_pickle_and_deepcopy_keep_shared_subtrees_shared():
     assert pickle.loads(pickle.dumps(small)) == small == copy.deepcopy(small)
 
 
+LIBRARY_ERRORS = (InvalidLevel, ParseError, ShapeError, SizeLimit, UnknownName)
+
+
+@functools.cache
+def _large_trees() -> tuple[Tree, ...]:
+    """The n = 2000 tables at k = 1 and k = n - 1, then the 5000-deep
+    chains of the test_deep_chains_* tests."""
+    chains = [_chain(bottom, grows_left)[0] for bottom, grows_left, _ in DEEP_CHAINS.mark.args[1]]
+    return (choose(1, range(2000)), choose(1999, range(2000)), *chains)
+
+
+# each tree function, on one tree; retabulate and cd_classic only raise
+# the n = 2000 table at k = n - 1: at k = 1 (and on the left chain, a
+# valid (5001, 1) table) they build millions of payloads
+TREE_CALLS = {
+    "flatten": flatten,
+    "size": size,
+    "map_tree": lambda t: map_tree(repr, t),
+    "zip_with": lambda t: zip_with(lambda p, q: (p, q), t, t),
+    "un_tip": un_tip,
+    "validate_shape": lambda t: [validate_shape(t, n, k) for n in (2000, 5001) for k in (1, n - 1)],
+    "encode": encode,
+    "render_ascii": render_ascii,
+    "==": lambda t: map_tree(lambda p: p, t) == t,
+    "hash": hash,
+    "repr": repr,
+    "pickle": lambda t: pickle.loads(pickle.dumps(t)) == t,
+    "deepcopy": lambda t: copy.deepcopy(t) == t,
+    "check_functor_laws": lambda t: check_functor_laws(t, repr, lambda p: (p,)) == (True, True),
+}
+RAISE_AT_N_MINUS_1 = {
+    "retabulate": lambda: retabulate(2000, 1999, _large_trees()[1]),
+    "cd_classic": lambda: cd_classic(_large_trees()[1]),
+}
+# each call that takes a level or size v, over a 3-element source xs
+LEVEL_CALLS = {
+    "choose": choose,
+    "blank-n": lambda v, xs: blank(v, 0),
+    "blank-k": lambda v, xs: blank(len(xs), v),
+    "retabulate-n": lambda v, xs: retabulate(v, 1, choose(1, xs)),
+    "retabulate-k": lambda v, xs: retabulate(len(xs), v, choose(1, xs)),
+    "check_rotation-n": lambda v, xs: check_rotation(v, 0),
+    "check_rotation-k": lambda v, xs: check_rotation(len(xs), v),
+    "check_spec_equation": check_spec_equation,
+    "check_naturality-n": lambda v, xs: check_naturality(v, 1, choose(1, xs), TipS(xs), repr),
+    "check_naturality-k": lambda v, xs: check_naturality(len(xs), v, choose(1, xs), TipS(xs), repr),
+    "validate_shape-n": lambda v, xs: validate_shape(choose(1, xs), v, 1),
+    "validate_shape-k": lambda v, xs: validate_shape(choose(1, xs), len(xs), v),
+    "td_call_count": lambda v, xs: td_call_count(v),
+    "bu_call_count": lambda v, xs: bu_call_count(v),
+    "subtree_count": lambda v, xs: subtree_count(v),
+    **{f"generator-{name}": lambda v, xs, name=name: get_problem(name).generator(v, 0)
+       for name in PROBLEMS},
+}
+# no level, a bool, or above the top of every call that has one: 3
+# elements, and the counters' bounds of 20 and 62
+ODD_LEVELS = (1.0, True, "1", None, -1, 4, 21, 63)
+SOURCES = (range(3), b"abc", array("i", [1, 2, 3]), "abc")
+
+
+@pytest.mark.parametrize("name", [*TREE_CALLS, *RAISE_AT_N_MINUS_1, *LEVEL_CALLS])
+def test_public_calls_return_or_raise_a_library_error(name):
+    if name in TREE_CALLS:
+        calls = [functools.partial(TREE_CALLS[name], t) for t in _large_trees()]
+    elif name in RAISE_AT_N_MINUS_1:
+        calls = [RAISE_AT_N_MINUS_1[name]]
+    else:
+        calls = [functools.partial(LEVEL_CALLS[name], v, xs) for v in ODD_LEVELS for xs in SOURCES]
+    must_hold = name in ("pickle", "deepcopy", "check_functor_laws")
+    # no RecursionError, and no TypeError or ValueError of Python's own
+    for call in calls:
+        try:
+            result = call()
+        except LIBRARY_ERRORS:
+            assert not must_hold
+            continue
+        assert result is True or not must_hold
+
+
 NON_TREES = [5, None, "Z(1)"]
 TREE_FUNCTIONS = {
     "flatten": flatten,
@@ -304,6 +396,15 @@ def test_tree_predicates_answer_false_for_non_trees(non_tree):
     assert is_tree(non_tree) is False
 
 
+def test_validate_shape_answers_false_for_levels_too_long_to_print():
+    # InvalidLevel's message cannot print a level of more digits than
+    # str() converts; validate_shape answers False all the same
+    huge = 10**5000
+    assert validate_shape(TipZ(0), 1, huge) is False
+    assert validate_shape(TipS(0), huge, huge + 1) is False
+    assert validate_shape(TipZ(0), 1, -huge) is False
+
+
 def test_non_trees_below_the_root_are_shape_errors():
     for t in (Bin(5, TipZ(1)), Bin(Bin(TipS(1), None), TipZ(2))):
         for name in ("flatten", "size", "map_tree", "encode", "render_ascii"):
@@ -319,6 +420,9 @@ def test_the_library_raises_five_value_error_classes():
     }
     assert exported == {"InvalidLevel", "ParseError", "ShapeError", "SizeLimit", "UnknownName"}
     assert all(issubclass(getattr(subtab, name), ValueError) for name in exported)
+    # each is defined once, in bintree, and re-exported where it was before
+    assert all(getattr(subtab, name).__module__ == "subtab.bintree" for name in exported)
+    assert subtab.tabulate.InvalidLevel is subtab.InvalidLevel
 
 
 def test_is_tree():

@@ -1,6 +1,7 @@
 """Text codec: grammar examples, error positions and round trips."""
 from __future__ import annotations
 
+import enum
 import sys
 
 import pytest
@@ -163,6 +164,49 @@ def test_encode_and_render_reject_over_long_integers(shape):
     for write in (encode, render_ascii):
         with pytest.raises(SizeLimit):
             write(TipZ(payload))
+
+
+class Eye(int):
+    """An int whose str() is no integer text."""
+
+    def __str__(self) -> str:
+        return "eye"
+
+
+class Colour(enum.IntEnum):
+    A = 1
+    B = 2
+
+
+@pytest.mark.parametrize("number", [Eye(3), Colour.B], ids=["int-subclass", "IntEnum"])
+@pytest.mark.parametrize("shape", ["scalar", "mixed-sequence"])
+def test_int_subclasses_are_written_as_their_digits(number, shape):
+    digits = f"{int(number)}"
+    payload, picture = {
+        "scalar": (number, digits),
+        "mixed-sequence": ((number, "x"), f'[{digits},"x"]'),
+    }[shape]
+    t = TipZ(payload)
+    assert encode(t) == f"Z({picture})"
+    assert decode(encode(t)) == t
+    assert render_ascii(t) == picture
+
+
+# choose(k, xs) with 0 < k < n nests n levels on its deepest path, n - 1
+# branches and a tip, and one more for a tuple key's '['
+@pytest.mark.parametrize("keys, largest", [("tuple", 299), ("str", 300)])
+def test_sublist_tables_are_written_up_to_a_size_set_by_max_depth(keys, largest):
+    assert largest == MAX_DEPTH - (keys == "tuple")
+    source = (lambda n: tuple(range(n))) if keys == "tuple" else (lambda n: "a" * n)
+    for k in (1, largest - 1):
+        t = choose(k, source(largest))
+        assert decode(encode(t)) == t
+        render_ascii(t)
+    for k in (1, largest):
+        t = choose(k, source(largest + 1))
+        for write in (encode, render_ascii):
+            with pytest.raises(SizeLimit):
+                write(t)
 
 
 GRAMMAR_PIECES = ["Z(", "S(", "B(", ")", ",", "*", "-", "[", "]", '"', "\\", "0", "7", "\u00b2", "\uff11"]
