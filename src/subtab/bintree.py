@@ -59,8 +59,24 @@ def _level(value: object, top: float) -> int:
     except TypeError:
         raise InvalidLevel(f"not an integer: {value!r}") from None
     if not 0 <= k <= top:
-        raise InvalidLevel(f"{k} is outside 0..{top}")
+        raise InvalidLevel(f"{_digits(k)} is outside 0..{_digits(top)}")
     return k
+
+
+def _guard(n: object, bound: int, what: str) -> int:
+    """n as a size argument, or SizeLimit past bound: every element-count limit."""
+    n = _level(n, math.inf)
+    if n > bound:
+        raise SizeLimit(f"{what} is limited to {bound} elements, got {_digits(n)}")
+    return n
+
+
+def _digits(k: float) -> str:
+    """str(k) for a message, or k's bit length where str() refuses its digits."""
+    try:
+        return str(k)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"a {k.bit_length()}-bit integer"
 
 
 class _Unit:
@@ -251,7 +267,7 @@ def validate_shape(t: Tree[P], n: int, k: int) -> bool:
     try:
         n = _level(n, math.inf)
         k = _level(k, n)
-    except ValueError:  # InvalidLevel, or str() failing on a level too long for its message
+    except InvalidLevel:  # not an integer, or out of range however long
         return False
     # children of a valid branch keep 0 <= k <= n, so one check suffices
     pending = [(t, n, k)]

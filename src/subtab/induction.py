@@ -13,11 +13,11 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, combinations, islice, repeat
 from typing import Callable, Generic, Sequence, TypeVar
 
 from .bintree import (
-    SizeLimit, TipZ, Tree, UnknownName, _level, flatten, is_tree, map_tree, un_tip, zip_with,
+    TipZ, Tree, UnknownName, _digits, _guard, flatten, is_tree, map_tree, un_tip, zip_with,
 )
 from .tabulate import _joinable, choose, retabulate
 
@@ -71,45 +71,44 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
     """Bottom-up: sweep the sublist lattice one level at a time.
 
     Level k is a flat list of the answers for all k-sublists, in
-    flatten(choose(k, xs)) order, beside a list of those sublists.  Level
-    k+1 is built by cd, retabulate's recursion run on flat lists: it
-    fills one column per child position, and g is mapped over the keys
-    and the zipped columns, so g sees the same calls as under bu_spec.
-    cd recurses only as the level drops, at most k + 1 deep.  Each
-    sublist is answered once, no tree is built, and only two levels and
-    one level's children are ever live.  Keys follow choose's rule, so a
-    range source is read as a tuple.
+    flatten(choose(k, xs)) order.  Level k+1 is raised by cd,
+    retabulate's recursion run on flat lists, which fills one column per
+    child position; its keys are combinations(xs, k + 1) in reverse,
+    built in C with the type of xs's slices (a range is read as a tuple).
+    g is mapped over the keys and the zipped columns, so g sees the same
+    calls as under bu_spec.  cd recurses only as the level drops, at most
+    k + 1 deep.  Each sublist is answered once, no tree is built, and
+    only two levels and one level's children are ever live.
     """
     xs, empty = _joinable(xs)
     n = len(xs)
-    lasts = [xs[n - 1 - t : n - t] for t in range(n)]  # one-element slices, last first
-    level = [solver.e()]
-    keys = [empty]
+    level, keys = [solver.e()], [empty]
     for k in range(n):
         columns: list[list[S]] = [[] for _ in range(k + 1)]
-        sublists: list[Sequence[E]] = []
 
         def cd(m: int, j: int, lo: int, shift: int) -> None:
-            """Add the children and keys of the (j+1)-sublists of the last m
-            elements, after shift chosen earlier, whose level-j table is
-            level[lo:]."""
+            """Add the children of the (j+1)-sublists of the last m elements,
+            after shift chosen earlier, whose level-j table is level[lo:]."""
             if j == 0:  # a TipZ: one child, the prefix
                 columns[shift] += repeat(level[lo], m)
-                key = keys[lo]
-                sublists.extend([key + last for last in lasts[:m]])
                 return
             # the full tip of the last j + 1 elements, then down the left spine
             for i in range(j + 1):
                 columns[shift + i].append(level[lo + i])
-            sublists.append(keys[lo + j] + lasts[0])
             for size in range(j + 1, m):
                 mid = lo + math.comb(size, j)
                 columns[shift] += level[lo:mid]
                 cd(size, j - 1, mid, shift + 1)
 
         cd(n, k, 0, 0)
-        keys = sublists  # level k's keys are dropped before g runs
-        level = list(map(solver.g, sublists, zip(*columns)))
+        if type(empty) is tuple:  # a reversed iterator lets go of its list once read
+            keys = reversed(list(combinations(xs, k + 1)))
+        else:  # the keys starting at xs[n - 1], then xs[n - 2], ...: choose
+            # lists the level-k keys of xs[i + 1:] first, so they open level k
+            keys = [*chain.from_iterable(
+                map(xs[i : i + 1].__add__, islice(keys, math.comb(n - 1 - i, k)))
+                for i in reversed(range(n)))]
+        level = list(map(solver.g, keys, zip(*columns)))
     return level[0]
 
 
@@ -209,18 +208,11 @@ def bu_call_count(n: int) -> int:
     return (1 << _guard(n, 62, "bu_call_count")) - 1
 
 
-def _guard(n: int, bound: int, what: str) -> int:
-    """n as a size argument, or SizeLimit past bound: every element-count limit."""
-    n = _level(n, math.inf)
-    if n > bound:
-        raise SizeLimit(f"{what} is limited to {bound} elements, got {n}")
-    return n
-
-
 def _named(table: dict[str, T], name: str, what: str) -> T:
     """table[name], or UnknownName listing table's names: every name lookup."""
     try:
         return table[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         expected = ", ".join(map(repr, table))
-        raise UnknownName(f"unknown {what} {name!r}; expected one of {expected}") from None
+        shown = _digits(name) if isinstance(name, int) else repr(name)  # repr refuses a huge int
+        raise UnknownName(f"unknown {what} {shown}; expected one of {expected}") from None

@@ -11,8 +11,8 @@ from random import Random
 from string import ascii_lowercase
 from typing import Any, Callable, Sequence
 
-from .bintree import Tree, _level, flatten
-from .induction import Solver, _guard, _named, td, td_call_count
+from .bintree import Tree, _guard, flatten
+from .induction import Solver, _named, td, td_call_count
 
 Seq = Sequence
 
@@ -39,10 +39,10 @@ def mix64(data: bytes) -> int:
 
 
 def _inputs(alphabet: Seq) -> Callable[[int, int], tuple]:
-    """generator(size, seed): size elements drawn from alphabet by Random(seed)."""
+    """generator(size, seed): size <= 10**6 elements drawn from alphabet by Random(seed)."""
     def gen(size: int, seed: int) -> tuple:
         rng = Random(seed)
-        return tuple(rng.choice(alphabet) for _ in range(_level(size, math.inf)))
+        return tuple(rng.choice(alphabet) for _ in range(_guard(size, 10**6, "generator")))
 
     return gen
 

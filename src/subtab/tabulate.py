@@ -19,6 +19,8 @@ from .bintree import (
     TipZ,
     Tree,
     UNIT,
+    _digits,
+    _guard,
     _level,
     flatten,
     map_tree,
@@ -47,8 +49,8 @@ def choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:
 
 
 def _joinable(xs: Seq[E]) -> tuple[Seq[E], Seq[E]]:
-    """xs and its empty slice, or tuple(xs) and () if slices of xs do not
-    concatenate: keys are built by joining slices with +."""
+    """xs and its empty slice, whose type every key has, or tuple(xs) and ()
+    if slices of xs cannot be joined with + (a range, say)."""
     empty = xs[:0]
     try:
         empty + empty
@@ -76,9 +78,9 @@ def _choose(k: int, xs: Seq[E], chosen: Seq[E]) -> Tree[Seq[E]]:
 
 
 def blank(n: int, k: int) -> Tree[object]:
-    """The unique unit-payload tree of shape (n, k), built bottom-up with
-    equal subtrees shared: O(n * min(k, n - k) + n) nodes, no recursion."""
-    n = _level(n, math.inf)
+    """The unique unit-payload tree of shape (n, k), n <= 100,000, built bottom-up
+    with equal subtrees shared: O(n * min(k, n - k) + n) nodes, no recursion."""
+    n = _guard(n, 100_000, "blank")
     k = _level(k, n)
     zero, full = TipZ(UNIT), TipS(UNIT)
     lo, row = 0, [zero]  # row[i] is blank(m, lo + i), for the k' that (n, k) reaches
@@ -100,7 +102,7 @@ def retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
     n = _level(n, math.inf)
     k = _level(k, n - 1)
     if not validate_shape(t, n, k):
-        raise ShapeError(f"tree does not validate at ({n}, {k})")
+        raise ShapeError(f"tree does not validate at ({_digits(n)}, {k})")
     if k:  # each payload is a (k+1, k) table grown by one full tip, to (k+2, k+1)
         return _raise(t, lambda w, u: Bin(TipS(w), u), lambda u: u)
     return map_tree(lambda _: t, blank(n, 1))  # each payload is the (1, 0) table t
@@ -186,6 +188,7 @@ def check_naturality(
 
 def check_rotation(n: int, k: int) -> bool:
     """Does raising the blank (n, k) table give blank (k+1, k) payloads
-    arranged in the blank (n, k+1) skeleton?"""
-    raised = retabulate(n, k, blank(n, k))  # checks n and k
+    arranged in the blank (n, k+1) skeleton?  n is at most 300."""
+    n = _guard(n, 300, "check_rotation")
+    raised = retabulate(n, k, blank(n, k))  # checks k
     return raised == map_tree(lambda _: blank(k + 1, k), blank(n, k + 1))

@@ -344,8 +344,9 @@ LEVEL_CALLS = {
        for name in PROBLEMS},
 }
 # no level, a bool, or above the top of every call that has one: 3
-# elements, and the counters' bounds of 20 and 62
-ODD_LEVELS = (1.0, True, "1", None, -1, 4, 21, 63)
+# elements, the counters' bounds of 20 and 62, every size bound, and a
+# level with more digits than str() converts
+ODD_LEVELS = (1.0, True, "1", None, -1, 4, 21, 63, 10**30, 10**5000)
 SOURCES = (range(3), b"abc", array("i", [1, 2, 3]), "abc")
 
 
@@ -403,6 +404,30 @@ def test_validate_shape_answers_false_for_levels_too_long_to_print():
     assert validate_shape(TipZ(0), 1, huge) is False
     assert validate_shape(TipS(0), huge, huge + 1) is False
     assert validate_shape(TipZ(0), 1, -huge) is False
+
+
+def test_levels_too_long_to_print_are_invalid_levels():
+    huge = 10**5000
+    for call in (lambda: choose(huge, "ab"), lambda: blank(2, huge), lambda: choose(-huge, "ab")):
+        with pytest.raises(InvalidLevel, match="^a 16610-bit integer is outside 0..2$"):
+            call()
+    too_long = "^bu_call_count is limited to 62 elements, got a 16610-bit integer$"
+    with pytest.raises(SizeLimit, match=too_long):
+        bu_call_count(huge)
+
+
+@pytest.mark.parametrize(
+    "call, what, bound",
+    [(lambda n: blank(n, 1), "blank", 100_000),
+     (lambda n: check_rotation(n, 1), "check_rotation", 300),
+     *[(lambda n, name=name: get_problem(name).generator(n, 0), "generator", 10**6)
+       for name in PROBLEMS]],
+    ids=["blank", "check_rotation", *PROBLEMS],
+)
+def test_size_arguments_are_bounded(call, what, bound):
+    for n in (bound + 1, 10**30):
+        with pytest.raises(SizeLimit, match=f"^{what} is limited to {bound} elements, got {n}$"):
+            call(n)
 
 
 def test_non_trees_below_the_root_are_shape_errors():

@@ -187,6 +187,24 @@ def test_bu_calls_g_like_its_tree_spec():
             assert len({ys for ys, _ in flat}) == 2**n - 1
 
 
+@pytest.mark.parametrize("make", SOURCES.values(), ids=SOURCES.keys())
+def test_bu_keys_keep_the_source_type_and_match_its_tree_spec(make):
+    def recording(calls):
+        def g(ys, children):
+            calls.append((ys, children))
+            return len(calls)
+        return Solver(e=lambda: 0, g=g)
+
+    for n in range(9):
+        xs = make(n)
+        flat, tree = [], []
+        bu(recording(flat), xs)
+        bu_spec(recording(tree), xs)
+        assert flat == tree and len(flat) == 2**n - 1
+        key_type = tuple if type(xs) is range else type(xs)
+        assert all(type(ys) is key_type for ys, _ in flat)
+
+
 class _ReachedLevelThree(Exception):
     pass
 

@@ -56,6 +56,13 @@ def test_unhashable_names_are_unknown(name):
         run_instrumented(name, digest_problem().solver, (1, 2))
 
 
+def test_names_too_long_to_print_are_unknown():
+    with pytest.raises(UnknownName, match="^unknown problem a 16610-bit integer; "):
+        get_problem(10**5000)
+    with pytest.raises(UnknownName, match="^unknown algorithm a 16610-bit integer; "):
+        run_instrumented(10**5000, digest_problem().solver, (1, 2))
+
+
 def test_mix64_is_a_stable_64_bit_value():
     assert mix64(b"") == 0xB4B2797457A0A6E4
     assert mix64(b"6") == 0x4C00F1F72D183D1B

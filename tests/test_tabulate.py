@@ -5,6 +5,7 @@ import inspect
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -61,6 +62,17 @@ def test_choose_keeps_the_sequence_type():
 def test_choose_orders_head_omitting_sublists_first():
     assert flatten(choose(2, "abcd")) == ("cd", "bd", "bc", "ad", "ac", "ab")
     assert flatten(choose(1, "abc")) == ("c", "b", "a")
+
+
+def test_choose_lists_the_combinations_in_reverse():
+    # the keys without the head come first, so the order is the reverse of
+    # combinations', the fast path by which bu builds its keys
+    for n in range(9):
+        numbers, letters = tuple(range(n)), "abcdefgh"[:n]
+        for k in range(n + 1):
+            assert flatten(choose(k, numbers)) == tuple(reversed(list(combinations(numbers, k))))
+            joined = map("".join, reversed(list(combinations(letters, k))))
+            assert flatten(choose(k, letters)) == tuple(joined)
 
 
 def test_choose_is_complete_against_bitmask_enumeration():
