@@ -76,7 +76,7 @@ def _digits(k: float) -> str:
     try:
         return str(k)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
-        return f"a {k.bit_length()}-bit integer"
+        return f"a {'negative ' * (k < 0)}{k.bit_length()}-bit integer"
 
 
 class _Unit:

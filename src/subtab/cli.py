@@ -15,8 +15,10 @@ from random import Random
 from string import ascii_lowercase
 from typing import Callable, Sequence
 
-from .bintree import InvalidLevel, ParseError, SizeLimit, Tree, encode, map_tree, render_ascii
-from .induction import _guard, bu, run_instrumented, td
+from .bintree import (
+    InvalidLevel, ParseError, SizeLimit, Tree, _guard, encode, map_tree, render_ascii,
+)
+from .induction import bu, run_instrumented, td
 from .problems import PROBLEMS, get_problem, mix64
 from .tabulate import (
     blank,

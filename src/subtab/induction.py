@@ -13,7 +13,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Generic, Sequence, TypeVar
 
 from .bintree import (
@@ -73,18 +73,25 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
     Level k is a flat list of the answers for all k-sublists, in
     flatten(choose(k, xs)) order.  Level k+1 is raised by cd,
     retabulate's recursion run on flat lists, which fills one column per
-    child position; its keys are combinations(xs, k + 1) in reverse,
-    built in C with the type of xs's slices (a range is read as a tuple).
-    g is mapped over the keys and the zipped columns, so g sees the same
-    calls as under bu_spec.  cd recurses only as the level drops, at most
-    k + 1 deep.  Each sublist is answered once, no tree is built, and
-    only two levels and one level's children are ever live.
+    child position.  Its keys, combinations(xs, k + 1) in reverse, are
+    built in C before cd runs: one map per first element joins a
+    one-element slice of xs to level k's keys with +, so they keep xs's
+    type (a range is read as a tuple).  g is mapped over the keys and
+    the zipped columns, so g sees the same calls as under bu_spec.  cd
+    recurses only as the level drops, at most k + 1 deep.  Each sublist
+    is answered once, no tree is built, and only two levels and one
+    level's children are ever live.
     """
     xs, empty = _joinable(xs)
     n = len(xs)
     level, keys = [solver.e()], [empty]
     for k in range(n):
-        columns: list[list[S]] = [[] for _ in range(k + 1)]
+        columns: list[list[S]] = [[] for _ in range(k + 1)]  # first, to free the last ones
+        # level k+1's keys starting at xs[n - 1], then xs[n - 2], ...: choose
+        # lists the level-k keys of xs[i + 1:] first, so islice reads them
+        keys = [*chain.from_iterable(
+            map(xs[i : i + 1].__add__, islice(keys, math.comb(n - 1 - i, k)))
+            for i in reversed(range(n)))]  # level k's keys are gone before cd runs
 
         def cd(m: int, j: int, lo: int, shift: int) -> None:
             """Add the children of the (j+1)-sublists of the last m elements,
@@ -101,13 +108,6 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
                 cd(size, j - 1, mid, shift + 1)
 
         cd(n, k, 0, 0)
-        if type(empty) is tuple:  # a reversed iterator lets go of its list once read
-            keys = reversed(list(combinations(xs, k + 1)))
-        else:  # the keys starting at xs[n - 1], then xs[n - 2], ...: choose
-            # lists the level-k keys of xs[i + 1:] first, so they open level k
-            keys = [*chain.from_iterable(
-                map(xs[i : i + 1].__add__, islice(keys, math.comb(n - 1 - i, k)))
-                for i in reversed(range(n)))]
         level = list(map(solver.g, keys, zip(*columns)))
     return level[0]
 

@@ -80,7 +80,12 @@ def _choose(k: int, xs: Seq[E], chosen: Seq[E]) -> Tree[Seq[E]]:
 def blank(n: int, k: int) -> Tree[object]:
     """The unique unit-payload tree of shape (n, k), n <= 100,000, built bottom-up
     with equal subtrees shared: O(n * min(k, n - k) + n) nodes, no recursion."""
-    n = _guard(n, 100_000, "blank")
+    return _blank(_guard(n, 100_000, "blank"), k)
+
+
+def _blank(n: int, k: int) -> Tree[object]:
+    """blank for an n already checked, with no size bound: retabulate's
+    level-0 result is an n-payload chain, however long its source."""
     k = _level(k, n)
     zero, full = TipZ(UNIT), TipS(UNIT)
     lo, row = 0, [zero]  # row[i] is blank(m, lo + i), for the k' that (n, k) reaches
@@ -105,7 +110,7 @@ def retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
         raise ShapeError(f"tree does not validate at ({_digits(n)}, {k})")
     if k:  # each payload is a (k+1, k) table grown by one full tip, to (k+2, k+1)
         return _raise(t, lambda w, u: Bin(TipS(w), u), lambda u: u)
-    return map_tree(lambda _: t, blank(n, 1))  # each payload is the (1, 0) table t
+    return map_tree(lambda _: t, _blank(n, 1))  # each payload is the (1, 0) table t
 
 
 def _raise(t: Tree[P], cons: Callable, whole: Callable) -> Tree:

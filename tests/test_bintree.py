@@ -398,8 +398,8 @@ def test_tree_predicates_answer_false_for_non_trees(non_tree):
 
 
 def test_validate_shape_answers_false_for_levels_too_long_to_print():
-    # InvalidLevel's message cannot print a level of more digits than
-    # str() converts; validate_shape answers False all the same
+    # validate_shape answers False for an out-of-range level of any length,
+    # even one of more digits than str() converts
     huge = 10**5000
     assert validate_shape(TipZ(0), 1, huge) is False
     assert validate_shape(TipS(0), huge, huge + 1) is False
@@ -408,9 +408,11 @@ def test_validate_shape_answers_false_for_levels_too_long_to_print():
 
 def test_levels_too_long_to_print_are_invalid_levels():
     huge = 10**5000
-    for call in (lambda: choose(huge, "ab"), lambda: blank(2, huge), lambda: choose(-huge, "ab")):
+    for call in (lambda: choose(huge, "ab"), lambda: blank(2, huge)):
         with pytest.raises(InvalidLevel, match="^a 16610-bit integer is outside 0..2$"):
             call()
+    with pytest.raises(InvalidLevel, match="^a negative 16610-bit integer is outside 0..2$"):
+        choose(-huge, "ab")
     too_long = "^bu_call_count is limited to 62 elements, got a 16610-bit integer$"
     with pytest.raises(SizeLimit, match=too_long):
         bu_call_count(huge)

@@ -66,7 +66,7 @@ def test_choose_orders_head_omitting_sublists_first():
 
 def test_choose_lists_the_combinations_in_reverse():
     # the keys without the head come first, so the order is the reverse of
-    # combinations', the fast path by which bu builds its keys
+    # combinations', the order in which bu builds its keys
     for n in range(9):
         numbers, letters = tuple(range(n)), "abcdefgh"[:n]
         for k in range(n + 1):
@@ -192,6 +192,14 @@ def test_retabulate_rejects_bad_levels_and_shapes():
         retabulate(3, 1, TipZ("x"))
     with pytest.raises(ShapeError):
         retabulate(4, 2, blank(4, 1))
+
+
+def test_retabulate_at_level_0_is_not_bounded_by_blank():
+    # the level-0 result is an n-payload chain, so blank's size bound is not its own
+    n = 100_001
+    out = retabulate(n, 0, TipZ(0))
+    assert validate_shape(out, n, 1)
+    assert flatten(out) == (TipZ(0),) * n
 
 
 @given(shaped_trees(max_n=7))
