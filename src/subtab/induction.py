@@ -13,13 +13,13 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Callable, Generic, Sequence, TypeVar
 
 from .bintree import (
     TipZ, Tree, UnknownName, _digits, _guard, flatten, is_tree, map_tree, un_tip, zip_with,
 )
-from .tabulate import _joinable, choose, retabulate
+from .tabulate import _cd, _joinable, choose, retabulate
 
 E = TypeVar("E")
 S = TypeVar("S")
@@ -71,16 +71,15 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
     """Bottom-up: sweep the sublist lattice one level at a time.
 
     Level k is a flat list of the answers for all k-sublists, in
-    flatten(choose(k, xs)) order.  Level k+1 is raised by cd,
-    retabulate's recursion run on flat lists, which fills one column per
-    child position.  Its keys, combinations(xs, k + 1) in reverse, are
-    built in C before cd runs: one map per first element joins a
+    flatten(choose(k, xs)) order.  bu iterates the flat level raising
+    that cd_classic runs, tabulate._cd, which fills one column per child
+    position.  Level k+1's keys, combinations(xs, k + 1) in reverse, are
+    built in C before _cd runs: one map per first element joins a
     one-element slice of xs to level k's keys with +, so they keep xs's
     type (a range is read as a tuple).  g is mapped over the keys and
-    the zipped columns, so g sees the same calls as under bu_spec.  cd
-    recurses only as the level drops, at most k + 1 deep.  Each sublist
-    is answered once, no tree is built, and only two levels and one
-    level's children are ever live.
+    the zipped columns, so g sees the same calls as under bu_spec.  Each
+    sublist is answered once, no tree is built, and only two levels and
+    one level's children are ever live.
     """
     xs, empty = _joinable(xs)
     n = len(xs)
@@ -91,23 +90,8 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
         # lists the level-k keys of xs[i + 1:] first, so islice reads them
         keys = [*chain.from_iterable(
             map(xs[i : i + 1].__add__, islice(keys, math.comb(n - 1 - i, k)))
-            for i in reversed(range(n)))]  # level k's keys are gone before cd runs
-
-        def cd(m: int, j: int, lo: int, shift: int) -> None:
-            """Add the children of the (j+1)-sublists of the last m elements,
-            after shift chosen earlier, whose level-j table is level[lo:]."""
-            if j == 0:  # a TipZ: one child, the prefix
-                columns[shift] += repeat(level[lo], m)
-                return
-            # the full tip of the last j + 1 elements, then down the left spine
-            for i in range(j + 1):
-                columns[shift + i].append(level[lo + i])
-            for size in range(j + 1, m):
-                mid = lo + math.comb(size, j)
-                columns[shift] += level[lo:mid]
-                cd(size, j - 1, mid, shift + 1)
-
-        cd(n, k, 0, 0)
+            for i in reversed(range(n)))]  # level k's keys are gone before _cd runs
+        _cd(columns, level, n, k, 0, 0)
         level = list(map(solver.g, keys, zip(*columns)))
     return level[0]
 

@@ -8,7 +8,8 @@ entries at all of its immediate sublists.
 """
 from __future__ import annotations
 
-import math
+from itertools import repeat
+from math import comb
 from typing import Callable, Sequence, TypeVar
 
 from .bintree import (
@@ -44,25 +45,9 @@ def choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:
     be joined with + (a range, say): then xs is read as a tuple.  Each
     key is built once: the elements chosen so far pass down as a prefix.
     """
-    xs, empty = _joinable(xs)
-    return _choose(_level(k, len(xs)), xs, empty)
-
-
-def _joinable(xs: Seq[E]) -> tuple[Seq[E], Seq[E]]:
-    """xs and its empty slice, whose type every key has, or tuple(xs) and ()
-    if slices of xs cannot be joined with + (a range, say)."""
-    empty = xs[:0]
-    try:
-        empty + empty
-    except TypeError:
-        return tuple(xs), ()
-    return xs, empty
-
-
-def _choose(k: int, xs: Seq[E], chosen: Seq[E]) -> Tree[Seq[E]]:
-    """choose(k, xs) with chosen prefixed to every key, without recursion."""
+    xs, chosen = _joinable(xs)
     n = len(xs)
-    done, todo = [], [(k, 0, chosen)]  # (k, i, chosen) is choose(k, xs[i:]) so prefixed
+    done, todo = [], [(_level(k, n), 0, chosen)]  # (k, i, chosen): choose(k, xs[i:]), chosen prefixed
     while todo:
         item = todo.pop()
         if item is None:  # both subtrees of a Bin are built
@@ -75,6 +60,17 @@ def _choose(k: int, xs: Seq[E], chosen: Seq[E]) -> Tree[Seq[E]]:
             i += 1
         done.append(TipS(chosen + xs[i:]) if k else TipZ(chosen))
     return done[0]
+
+
+def _joinable(xs: Seq[E]) -> tuple[Seq[E], Seq[E]]:
+    """xs and its empty slice, whose type every key has, or tuple(xs) and ()
+    if slices of xs cannot be joined with + (a range, say)."""
+    empty = xs[:0]
+    try:
+        empty + empty
+    except TypeError:
+        return tuple(xs), ()
+    return xs, empty
 
 
 def blank(n: int, k: int) -> Tree[object]:
@@ -97,53 +93,70 @@ def _blank(n: int, k: int) -> Tree[object]:
 
 
 def retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
-    """Raise a level-k table to level k+1.
+    """Raise a level-k table to level k+1: the specification of cd_classic.
 
     The result is valid at (n, k+1); each payload is itself a (k+1, k)
     table grouping the entries of t at all immediate sublists of one
     (k+1)-sublist, ordered with the sublist omitting the newest element
-    first.  k runs over 0..n-1.  t is validated once up front.
+    first.  k runs over 0..n-1 and n up to 10^6; t is validated once up
+    front, then raised in one post-order loop.
     """
-    n = _level(n, math.inf)
+    n = _guard(n, 1_000_000, "retabulate")
     k = _level(k, n - 1)
     if not validate_shape(t, n, k):
         raise ShapeError(f"tree does not validate at ({_digits(n)}, {k})")
-    if k:  # each payload is a (k+1, k) table grown by one full tip, to (k+2, k+1)
-        return _raise(t, lambda w, u: Bin(TipS(w), u), lambda u: u)
-    return map_tree(lambda _: t, _blank(n, 1))  # each payload is the (1, 0) table t
-
-
-def _raise(t: Tree[P], cons: Callable, whole: Callable) -> Tree:
-    """Level raising of a branch t at level k >= 1: whole(s) is the group of
-    a (k+1, k) subtree s, and cons(w, group) grows a group by w.  One loop,
-    in post-order: at a marker (t,), t's raised subtrees are joined."""
+    if not k:
+        return map_tree(lambda _: t, _blank(n, 1))  # each payload is the (1, 0) table t
     done, todo = [], [t]
     while todo:
         t = todo.pop()
         if t.__class__ is tuple:  # t's left subtree is raised, and its right if a branch
             t, = t
             if t.right.__class__ is Bin:
-                right = zip_with(cons, t.left, done.pop())
-            else:  # a tip, so every group gains the same one
-                group = whole(t.right)
-                right = map_tree(lambda w: cons(w, group), t.left)
+                right = zip_with(lambda w, u: Bin(TipS(w), u), t.left, done.pop())
+            else:  # a tip, so every payload gains the same one
+                right = map_tree(lambda w: Bin(TipS(w), t.right), t.left)
             done[-1] = Bin(done[-1], right)
         elif t.left.__class__ is Bin:
             todo.append((t,))
             if t.right.__class__ is Bin:
                 todo.append(t.right)
             todo.append(t.left)
-        else:  # a (k+1, k) table
-            done.append(TipS(whole(t)))
+        else:  # a (k+1, k) table is its own group
+            done.append(TipS(t))
     return done[0]
 
 
-def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:
-    """Flat variant of level raising: payloads are tuples, not tables.
+def _cd(columns: list[list], level: Seq, m: int, j: int, lo: int, shift: int) -> None:
+    """Level raising on flat lists: add to columns[shift:] the children of
+    the (j+1)-sublists of the last m elements, after shift chosen earlier,
+    whose level-j table, in flatten order, is level[lo:].  Each frame loops
+    into its last subtree and recurses on the others, in which m - j is
+    smaller, so calls nest at most min(j, m - j) deep whatever m is."""
+    while j:
+        for i in range(j + 1):  # the full tip of the last j + 1 elements
+            columns[shift + i].append(level[lo + i])
+        size = j + 1
+        while size < m:  # then down the left spine, whose last subtree is looped into
+            mid = lo + comb(size, j)
+            columns[shift] += level[lo:mid]
+            size += 1
+            if size == m:
+                break
+            _cd(columns, level, size - 1, j - 1, mid, shift + 1)
+        else:  # m == j + 1: the full tip is the whole table
+            return
+        m, j, lo, shift = m - 1, j - 1, mid, shift + 1
+    columns[shift] += repeat(level[lo], m)  # a TipZ: one child, the prefix
 
-    Matches map_tree(flatten, retabulate(n, k, t)) on any t valid at some
-    (n, k) with 1 <= k < n, and raises ShapeError on any other t.  Kept
-    for cross-checking; retabulate is the primary form.
+
+def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:
+    """Flat level raising, the one bu iterates: payloads are tuples, not tables.
+
+    Matches map_tree(flatten, retabulate(n, k, t)), its specification,
+    on any t valid at some (n, k) with 1 <= k < n, and raises ShapeError
+    on any other t.  _cd fills one column per child position from
+    flatten(t), and the zipped rows fill the (n, k+1) skeleton.
     """
     lefts = k = 0  # a valid t has n - k branches down its left spine, k down its right
     left = right = t
@@ -153,7 +166,10 @@ def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:
         k, right = k + 1, right.right
     if not (k >= 1 and validate_shape(t, lefts + k, k)):
         raise ShapeError("tree is valid at no (n, k) with 1 <= k < n")
-    return _raise(t, lambda w, ws: (w,) + ws, flatten)
+    columns: list[list[P]] = [[] for _ in range(k + 1)]
+    _cd(columns, flatten(t), lefts + k, k, 0, 0)
+    rows = zip(*columns)
+    return map_tree(lambda _: next(rows), _blank(lefts + k, k + 1))
 
 
 def check_spec_equation(k: int, xs: Seq[E]) -> bool:

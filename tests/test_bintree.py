@@ -329,6 +329,7 @@ LEVEL_CALLS = {
     "blank-n": lambda v, xs: blank(v, 0),
     "blank-k": lambda v, xs: blank(len(xs), v),
     "retabulate-n": lambda v, xs: retabulate(v, 1, choose(1, xs)),
+    "retabulate-n-at-0": lambda v, xs: retabulate(v, 0, TipZ(xs)),
     "retabulate-k": lambda v, xs: retabulate(len(xs), v, choose(1, xs)),
     "check_rotation-n": lambda v, xs: check_rotation(v, 0),
     "check_rotation-k": lambda v, xs: check_rotation(len(xs), v),

@@ -218,7 +218,7 @@ def test_cd_classic_frozen_example():
 
 
 def test_cd_classic_matches_flattened_retabulate():
-    for xs in ["abcdefg"[:n] for n in range(2, 8)]:
+    for xs in ["abcdefghij"[:n] for n in range(2, 11)]:  # frames nest up to five deep
         n = len(xs)
         for k in range(1, n):
             t = choose(k, xs)
