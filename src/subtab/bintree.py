@@ -325,15 +325,14 @@ def flatten(t: Tree[P]) -> tuple[P, ...]:
     """All payloads in left-to-right order."""
     acc: list[P] = []
     pending = [t]
-    try:
-        while pending:
-            t = pending.pop()
-            while t.__class__ is Bin:
-                pending.append(t.right)
-                t = t.left
-            acc.append(t.payload)
-    except AttributeError:  # only a non-node lacks .payload
-        raise ShapeError("not a tree") from None
+    while pending:
+        t = pending.pop()
+        while t.__class__ is Bin:
+            pending.append(t.right)
+            t = t.left
+        if t.__class__ is not TipZ and t.__class__ is not TipS:
+            raise ShapeError("not a tree")
+        acc.append(t.payload)
     return tuple(acc)
 
 
@@ -350,12 +349,16 @@ def flatten(t: Tree[P]) -> tuple[P, ...]:
 # A tip holding a flat integer sequence, as every table over a numeric
 # source does, is read with one match and written with one join.
 #
-# Each 'Z(', 'S(', 'B(' and '[' opens one nesting level.  decode accepts
-# at most MAX_DEPTH levels, so that deep text fails with a ParseError at
-# the opener past the bound rather than exhausting the interpreter stack.
-# encode and render_ascii count levels alike and raise SizeLimit there.
+# Each 'Z(', 'S(', 'B(' and '[' opens one nesting level.  The reader and
+# the writer take depth, the number of levels open around the call, and
+# each opener raises at depth >= MAX_DEPTH: decode a ParseError at it,
+# encode and render_ascii SizeLimit, so deep input never exhausts the
+# interpreter stack.  At a tree position, the root or a branch's child,
+# the bound is checked before the node class.
 
 MAX_DEPTH = 300
+_NODES = (Bin, TipZ, TipS)
+_TOO_DEEP = f"nesting deeper than {MAX_DEPTH}"
 
 # A scalar payload: '*', an ASCII integer, or a string with its body in
 # group 1, and group 2 empty when it stops short of its closing quote.
@@ -370,45 +373,42 @@ def encode(t: Tree[P]) -> str:
 
     Payloads may be unit, int, str, tuple or nested trees.
     """
+    if t.__class__ not in _NODES:
+        raise ShapeError("not a tree")
     parts: list[str] = []
-    try:
-        _encode_tree(t, parts, 1)
-    except AttributeError:
-        raise ShapeError("not a tree") from None
+    _write(t, parts, 0)
     return "".join(parts)
 
 
-def _encode_tree(t: Tree[P], parts: list[str], depth: int) -> None:
-    if depth > MAX_DEPTH:
-        raise SizeLimit(f"nesting deeper than {MAX_DEPTH}")
-    if isinstance(t, Bin):
+def _write(p: object, parts: list[str], depth: int) -> None:
+    """Append payload p, a node or a scalar or a sequence; depth counts the
+    levels open around it.  A branch checks each child is a node."""
+    cls = p.__class__
+    if cls is Bin:
+        if depth >= MAX_DEPTH:
+            raise SizeLimit(_TOO_DEEP)
+        depth += 1
         parts.append("B(")
-        _encode_tree(t.left, parts, depth + 1)
+        # a branch's children are trees: past the bound, the bound wins
+        child = p.left
+        if child.__class__ not in _NODES:
+            raise SizeLimit(_TOO_DEEP) if depth >= MAX_DEPTH else ShapeError("not a tree")
+        _write(child, parts, depth)
         parts.append(",")
-        _encode_tree(t.right, parts, depth + 1)
+        child = p.right
+        if child.__class__ not in _NODES:
+            raise SizeLimit(_TOO_DEEP) if depth >= MAX_DEPTH else ShapeError("not a tree")
+        _write(child, parts, depth)
         parts.append(")")
-        return
-    parts.append("Z(" if isinstance(t, TipZ) else "S(")
-    _encode_payload(t.payload, parts, depth)
-    parts.append(")")
-
-
-def _encode_payload(p: object, parts: list[str], depth: int) -> None:
-    """Append p; depth is that of its enclosing level."""
-    if p is UNIT:
-        parts.append("*")
-    elif isinstance(p, bool):
-        raise TypeError("bool payloads have no default encoding")
-    elif isinstance(p, int):
-        try:
-            parts.append(int.__repr__(p))  # an int subclass's str() may not be digits
-        except ValueError:  # more digits than the interpreter converts
-            raise SizeLimit("integer too long") from None
-    elif isinstance(p, str):
-        parts.append('"' + p.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif cls is TipZ or cls is TipS:
+        if depth >= MAX_DEPTH:
+            raise SizeLimit(_TOO_DEEP)
+        parts.append("Z(" if cls is TipZ else "S(")
+        _write(p.payload, parts, depth + 1)
+        parts.append(")")
     elif isinstance(p, tuple):
         if depth >= MAX_DEPTH:
-            raise SizeLimit(f"nesting deeper than {MAX_DEPTH}")
+            raise SizeLimit(_TOO_DEEP)
         if {int}.issuperset(map(type, p)):  # exact ints: no bool, no subclass
             try:
                 parts.append("[" + ",".join(map(str, p)) + "]")
@@ -419,10 +419,19 @@ def _encode_payload(p: object, parts: list[str], depth: int) -> None:
         for i, item in enumerate(p):
             if i:
                 parts.append(",")
-            _encode_payload(item, parts, depth + 1)
+            _write(item, parts, depth + 1)
         parts.append("]")
-    elif is_tree(p):
-        _encode_tree(p, parts, depth + 1)
+    elif p is UNIT:
+        parts.append("*")
+    elif isinstance(p, bool):
+        raise TypeError("bool payloads have no default encoding")
+    elif isinstance(p, int):
+        try:
+            parts.append(int.__repr__(p))  # an int subclass's str() may not be digits
+        except ValueError:  # more digits than the interpreter converts
+            raise SizeLimit("integer too long") from None
+    elif isinstance(p, str):
+        parts.append('"' + p.replace("\\", "\\\\").replace('"', '\\"') + '"')
     else:
         raise TypeError(f"no encoding for payload of type {type(p).__name__}")
 
@@ -433,47 +442,46 @@ def decode(text: str) -> Tree:
     Raises ParseError with the offending offset on malformed input,
     including trailing characters and nesting deeper than MAX_DEPTH.
     """
-    t, pos = _parse_tree(text, 0, 1)
+    t, pos = _read(text, 0, 0, True)
     if pos != len(text):
         raise ParseError("trailing input", pos)
     return t
 
 
-def _parse_tree(s: str, i: int, depth: int) -> tuple[Tree, int]:
-    if i >= len(s):
-        raise ParseError("expected a tree", i)
-    if depth > MAX_DEPTH:
-        raise ParseError(f"nesting deeper than {MAX_DEPTH}", i)
-    c = s[i]
-    if c in "ZS":
-        if depth < MAX_DEPTH and (tip := _INT_TIP.match(s, i)):
-            try:
-                return (TipZ if c == "Z" else TipS)(tuple(map(int, tip[1].split(",")))), tip.end()
-            except ValueError:  # an integer too long: the general path places it
-                pass
-        i = _expect(s, i + 1, "(")
-        payload, i = _parse_payload(s, i, depth)
-        i = _expect(s, i, ")")
-        return (TipZ(payload) if c == "Z" else TipS(payload)), i
-    if c == "B":
-        i = _expect(s, i + 1, "(")
-        left, i = _parse_tree(s, i, depth + 1)
-        i = _expect(s, i, ",")
-        right, i = _parse_tree(s, i, depth + 1)
-        i = _expect(s, i, ")")
-        return Bin(left, right), i
-    raise ParseError("expected 'Z', 'S' or 'B'", i)
-
-
-def _parse_payload(s: str, i: int, depth: int) -> tuple[object, int]:
-    """Parse the payload at s[i]; depth is that of its enclosing level."""
+def _read(s: str, i: int, depth: int, tree: bool) -> tuple[object, int]:
+    """Read the payload at s[i], a tree where tree is set, and the offset
+    past it; depth counts the levels open around it."""
+    c = s[i : i + 1]
+    if tree or c in ("Z", "S", "B", "["):
+        if not c:
+            raise ParseError("expected a tree", i)
+        if depth >= MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, i)
+        if c == "Z" or c == "S":
+            if depth + 1 < MAX_DEPTH and (tip := _INT_TIP.match(s, i)):
+                try:
+                    return (TipZ if c == "Z" else TipS)(tuple(map(int, tip[1].split(",")))), tip.end()
+                except ValueError:  # an integer too long: the general path places it
+                    pass
+            payload, i = _read(s, _expect(s, i + 1, "("), depth + 1, False)
+            return (TipZ(payload) if c == "Z" else TipS(payload)), _expect(s, i, ")")
+        if c == "B":
+            left, i = _read(s, _expect(s, i + 1, "("), depth + 1, True)
+            right, i = _read(s, _expect(s, i, ","), depth + 1, True)
+            return Bin(left, right), _expect(s, i, ")")
+        if tree:
+            raise ParseError("expected 'Z', 'S' or 'B'", i)
+        items = []
+        while True:
+            i += 1  # past '[' or ','
+            if not items and s[i : i + 1] == "]":
+                return (), i + 1
+            item, i = _read(s, i, depth + 1, False)
+            items.append(item)
+            if s[i : i + 1] != ",":
+                return tuple(items), _expect(s, i, "]")
     scalar = _SCALAR.match(s, i)
     if scalar is None:
-        c = s[i : i + 1]
-        if c == "[":
-            return _parse_sequence(s, i, depth + 1)
-        if c in ("Z", "S", "B"):
-            return _parse_tree(s, i, depth + 1)
         if c == "-":
             raise ParseError("expected a digit", i + 1)
         raise ParseError("expected a payload", i)
@@ -488,23 +496,6 @@ def _parse_payload(s: str, i: int, depth: int) -> tuple[object, int]:
     if not scalar.group(2):
         raise ParseError("unterminated string" if end == len(s) else "bad escape", end)
     return _ESCAPE.sub(r"\1", scalar.group(1)), end
-
-
-def _parse_sequence(s: str, i: int, depth: int) -> tuple[tuple, int]:
-    if depth > MAX_DEPTH:
-        raise ParseError(f"nesting deeper than {MAX_DEPTH}", i)
-    i += 1  # past '['
-    if i < len(s) and s[i] == "]":
-        return (), i + 1
-    items = []
-    while True:
-        item, i = _parse_payload(s, i, depth)
-        items.append(item)
-        if i < len(s) and s[i] == ",":
-            i += 1
-            continue
-        i = _expect(s, i, "]")
-        return tuple(items), i
 
 
 def _expect(s: str, i: int, ch: str) -> int:
@@ -525,28 +516,25 @@ def render_ascii(t: Tree[P]) -> str:
     other payloads fall back to the codec form.
     """
     lines: list[str] = []
-    try:
-        _ascii_into(t, "", "", lines, 1)
-    except AttributeError:
-        raise ShapeError("not a tree") from None
+    _ascii_into(t, "", "", lines, 0)
     return "\n".join(lines)
 
 
-def _render_payload(p: object, depth: int) -> str:
-    if isinstance(p, str):
-        return p
-    parts: list[str] = []
-    _encode_payload(p, parts, depth)
-    return "".join(parts)
-
-
 def _ascii_into(t: Tree, first: str, rest: str, lines: list[str], depth: int) -> None:
-    """Append t's lines, the first prefixed with first, the others with rest."""
-    if depth > MAX_DEPTH:
-        raise SizeLimit(f"nesting deeper than {MAX_DEPTH}")
-    if not isinstance(t, Bin):
-        lines.append(first + _render_payload(t.payload, depth))
-        return
-    indent = rest + "  "
-    _ascii_into(t.left, first + ". ", indent, lines, depth + 1)
-    _ascii_into(t.right, indent, indent, lines, depth + 1)
+    """Append t's lines, the first prefixed with first, the others with rest;
+    depth counts the levels open around t."""
+    if depth >= MAX_DEPTH:
+        raise SizeLimit(_TOO_DEEP)
+    cls = t.__class__
+    if cls is Bin:
+        indent = rest + "  "
+        _ascii_into(t.left, first + ". ", indent, lines, depth + 1)
+        _ascii_into(t.right, indent, indent, lines, depth + 1)
+    elif cls is not TipZ and cls is not TipS:
+        raise ShapeError("not a tree")
+    elif isinstance(t.payload, str):
+        lines.append(first + t.payload)
+    else:
+        parts = [first]
+        _write(t.payload, parts, depth + 1)
+        lines.append("".join(parts))

@@ -8,6 +8,7 @@ from array import array
 from dataclasses import FrozenInstanceError
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -370,7 +371,7 @@ def test_public_calls_return_or_raise_a_library_error(name):
         assert result is True or not must_hold
 
 
-NON_TREES = [5, None, "Z(1)"]
+NON_TREES = [5, None, "Z(1)", SimpleNamespace(payload=7)]
 TREE_FUNCTIONS = {
     "flatten": flatten,
     "size": size,
@@ -434,7 +435,8 @@ def test_size_arguments_are_bounded(call, what, bound):
 
 
 def test_non_trees_below_the_root_are_shape_errors():
-    for t in (Bin(5, TipZ(1)), Bin(Bin(TipS(1), None), TipZ(2))):
+    fake_tip = SimpleNamespace(payload=7)
+    for t in (Bin(5, TipZ(1)), Bin(Bin(TipS(1), None), TipZ(2)), Bin(fake_tip, TipZ(1))):
         for name in ("flatten", "size", "map_tree", "encode", "render_ascii"):
             with pytest.raises(ShapeError):
                 TREE_FUNCTIONS[name](t)

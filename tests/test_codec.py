@@ -11,6 +11,7 @@ from conftest import codec_payloads, shaped_trees
 from subtab import (
     Bin,
     ParseError,
+    ShapeError,
     SizeLimit,
     TipS,
     TipZ,
@@ -117,6 +118,61 @@ def test_decode_reports_the_offending_position(text, position):
     with pytest.raises(ParseError) as err:
         decode(text)
     assert err.value.position == position
+
+
+def _tipz_chain(depth: int, leaf: object) -> TipZ:
+    for _ in range(depth):
+        leaf = TipZ(leaf)
+    return leaf
+
+
+# Each fault decode names, and which fault each reader and writer reports
+# first where there are two.  At a tree position the depth bound wins over
+# the character; at a payload position only an opener checks it.  The
+# writers write the left side of a branch first.
+FIRST_FAULTS = [
+    pytest.param(decode, text, ParseError, f"{message} at position {position}", id=message)
+    for text, message, position in [
+        ("", "expected a tree", 0),
+        ("x", "expected 'Z', 'S' or 'B'", 0),
+        ("Z", "expected '('", 1),
+        ("Z(1", "expected ')'", 3),
+        ("B(Z(1)Z(2))", "expected ','", 6),
+        ("Z([1,2)", "expected ']'", 6),
+        ("Z(-)", "expected a digit", 3),
+        ("Z(x)", "expected a payload", 2),
+        ('Z("a', "unterminated string", 4),
+        ('Z("a\\', "bad escape", 4),
+        ("Z(1)x", "trailing input", 4),
+        ("Z(" * 301 + "*" + ")" * 301, "nesting deeper than 300", 600),
+    ]
+] + [
+    pytest.param(
+        decode, "Z(" + "9" * (MAX_INT_DIGITS + 1) + ")", ParseError, "integer too long at position 2",
+        marks=pytest.mark.skipif(not MAX_INT_DIGITS, reason="no limit on int() digits"),
+        id="integer too long",
+    ),
+    pytest.param(decode, "B(" * 300 + "x", ParseError, "nesting deeper than 300 at position 600",
+                 id="bound before a tree"),
+    pytest.param(decode, "Z(" + "[" * 299 + "x", ParseError, "expected a payload at position 301",
+                 id="payload before the bound"),
+] + [
+    pytest.param(write, tree, error, message, id=f"{write.__name__}-{name}")
+    for write in (encode, render_ascii)
+    for name, tree, error, message in [
+        ("left first", Bin(TipZ(3.5), 5), TypeError, "no encoding for payload of type float"),
+        ("non-node left", Bin(5, TipZ(3.5)), ShapeError, "not a tree"),
+        ("bound before payload", _tipz_chain(301, 3.5), SizeLimit, "nesting deeper than 300"),
+    ]
+]
+
+
+@pytest.mark.parametrize("call, subject, error, message", FIRST_FAULTS)
+def test_each_fault_has_one_class_and_message(call, subject, error, message):
+    with pytest.raises(error) as err:
+        call(subject)
+    assert err.type is error
+    assert str(err.value) == message
 
 
 # Text nesting d levels of one kind, and the offset of its level-d opener.
