@@ -259,7 +259,7 @@ def _from_post_order(ops: list) -> _Node:
 
 
 def is_tree(x: object) -> bool:
-    return isinstance(x, _Node)
+    return x.__class__ in _NODES
 
 
 def validate_shape(t: Tree[P], n: int, k: int) -> bool:
@@ -347,7 +347,11 @@ def flatten(t: Tree[P]) -> tuple[P, ...]:
 # tuples; '[]' is the empty sequence.
 #
 # A tip holding a flat integer sequence, as every table over a numeric
-# source does, is read with one match and written with one join.
+# source does, is read with one match and written with one join.  In a
+# table of tables, as retabulate builds, the n - k tables above an entry
+# share its sequence: there one call writes each tuple of exact ints once,
+# keyed by id (the tree keeps it alive; (True, 2) equals (1, 2)), and reads
+# each digit body once, so equal tips share one tuple.  Flat tables take no memo.
 #
 # Each 'Z(', 'S(', 'B(' and '[' opens one nesting level.  The reader and
 # the writer take depth, the number of levels open around the call, and
@@ -366,6 +370,19 @@ _SCALAR = re.compile(r'\*|-?[0-9]+|"([^"\\]*(?:\\["\\][^"\\]*)*)("?)')
 _ESCAPE = re.compile(r'\\(["\\])')
 # A tip with a flat integer sequence as its payload, the items in group 1.
 _INT_TIP = re.compile(r"[ZS]\(\[(-?[0-9]+(?:,-?[0-9]+)*)\]\)")
+# Text whose first tip holds a tree: a table of tables.
+_NESTED = re.compile(r"(?:B\()*[ZS]\([BZS]\(")
+
+
+def _memo(t: object) -> dict | None:
+    """A memo for one writer call where t's first tip holds a tree, else
+    None; looks no deeper than the writers do, and never raises."""
+    for _ in range(MAX_DEPTH):
+        if t.__class__ is not Bin:
+            break
+        t = getattr(t, "left", None)
+    tip = t.__class__ is TipZ or t.__class__ is TipS
+    return {} if tip and getattr(t, "payload", None).__class__ in _NODES else None
 
 
 def encode(t: Tree[P]) -> str:
@@ -376,13 +393,13 @@ def encode(t: Tree[P]) -> str:
     if t.__class__ not in _NODES:
         raise ShapeError("not a tree")
     parts: list[str] = []
-    _write(t, parts, 0)
+    _write(t, parts, 0, _memo(t))
     return "".join(parts)
 
 
-def _write(p: object, parts: list[str], depth: int) -> None:
+def _write(p: object, parts: list[str], depth: int, memo: dict | None) -> None:
     """Append payload p, a node or a scalar or a sequence; depth counts the
-    levels open around it.  A branch checks each child is a node."""
+    levels open around it, and memo, if any, maps id(tuple) to its text."""
     cls = p.__class__
     if cls is Bin:
         if depth >= MAX_DEPTH:
@@ -393,33 +410,39 @@ def _write(p: object, parts: list[str], depth: int) -> None:
         child = p.left
         if child.__class__ not in _NODES:
             raise SizeLimit(_TOO_DEEP) if depth >= MAX_DEPTH else ShapeError("not a tree")
-        _write(child, parts, depth)
+        _write(child, parts, depth, memo)
         parts.append(",")
         child = p.right
         if child.__class__ not in _NODES:
             raise SizeLimit(_TOO_DEEP) if depth >= MAX_DEPTH else ShapeError("not a tree")
-        _write(child, parts, depth)
+        _write(child, parts, depth, memo)
         parts.append(")")
     elif cls is TipZ or cls is TipS:
         if depth >= MAX_DEPTH:
             raise SizeLimit(_TOO_DEEP)
         parts.append("Z(" if cls is TipZ else "S(")
-        _write(p.payload, parts, depth + 1)
+        _write(p.payload, parts, depth + 1, memo)
         parts.append(")")
     elif isinstance(p, tuple):
         if depth >= MAX_DEPTH:
             raise SizeLimit(_TOO_DEEP)
+        if memo and (text := memo.get(id(p))):  # a memo holds no empty text
+            parts.append(text)
+            return
         if {int}.issuperset(map(type, p)):  # exact ints: no bool, no subclass
             try:
-                parts.append("[" + ",".join(map(str, p)) + "]")
+                text = "[" + ",".join(map(str, p)) + "]"
             except ValueError:  # more digits than the interpreter converts
                 raise SizeLimit("integer too long") from None
+            if memo is not None and cls is tuple:
+                memo[id(p)] = text
+            parts.append(text)
             return
         parts.append("[")
         for i, item in enumerate(p):
             if i:
                 parts.append(",")
-            _write(item, parts, depth + 1)
+            _write(item, parts, depth + 1, memo)
         parts.append("]")
     elif p is UNIT:
         parts.append("*")
@@ -442,15 +465,16 @@ def decode(text: str) -> Tree:
     Raises ParseError with the offending offset on malformed input,
     including trailing characters and nesting deeper than MAX_DEPTH.
     """
-    t, pos = _read(text, 0, 0, True)
+    t, pos = _read(text, 0, 0, True, {} if _NESTED.match(text) else None)
     if pos != len(text):
         raise ParseError("trailing input", pos)
     return t
 
 
-def _read(s: str, i: int, depth: int, tree: bool) -> tuple[object, int]:
+def _read(s: str, i: int, depth: int, tree: bool, memo: dict | None) -> tuple[object, int]:
     """Read the payload at s[i], a tree where tree is set, and the offset
-    past it; depth counts the levels open around it."""
+    past it; depth counts the levels open around it, and memo, if any,
+    maps an integer tip's digit body to its tuple."""
     c = s[i : i + 1]
     if tree or c in ("Z", "S", "B", "["):
         if not c:
@@ -459,15 +483,20 @@ def _read(s: str, i: int, depth: int, tree: bool) -> tuple[object, int]:
             raise ParseError(_TOO_DEEP, i)
         if c == "Z" or c == "S":
             if depth + 1 < MAX_DEPTH and (tip := _INT_TIP.match(s, i)):
-                try:
-                    return (TipZ if c == "Z" else TipS)(tuple(map(int, tip[1].split(",")))), tip.end()
+                body = tip[1]
+                try:  # a memo holds no empty tuple, so a hit is true
+                    items = memo is not None and memo.get(body) or tuple(map(int, body.split(",")))
                 except ValueError:  # an integer too long: the general path places it
                     pass
-            payload, i = _read(s, _expect(s, i + 1, "("), depth + 1, False)
+                else:
+                    if memo is not None:
+                        memo[body] = items
+                    return (TipZ if c == "Z" else TipS)(items), tip.end()
+            payload, i = _read(s, _expect(s, i + 1, "("), depth + 1, False, memo)
             return (TipZ(payload) if c == "Z" else TipS(payload)), _expect(s, i, ")")
         if c == "B":
-            left, i = _read(s, _expect(s, i + 1, "("), depth + 1, True)
-            right, i = _read(s, _expect(s, i, ","), depth + 1, True)
+            left, i = _read(s, _expect(s, i + 1, "("), depth + 1, True, memo)
+            right, i = _read(s, _expect(s, i, ","), depth + 1, True, memo)
             return Bin(left, right), _expect(s, i, ")")
         if tree:
             raise ParseError("expected 'Z', 'S' or 'B'", i)
@@ -476,7 +505,7 @@ def _read(s: str, i: int, depth: int, tree: bool) -> tuple[object, int]:
             i += 1  # past '[' or ','
             if not items and s[i : i + 1] == "]":
                 return (), i + 1
-            item, i = _read(s, i, depth + 1, False)
+            item, i = _read(s, i, depth + 1, False, memo)
             items.append(item)
             if s[i : i + 1] != ",":
                 return tuple(items), _expect(s, i, "]")
@@ -516,25 +545,26 @@ def render_ascii(t: Tree[P]) -> str:
     other payloads fall back to the codec form.
     """
     lines: list[str] = []
-    _ascii_into(t, "", "", lines, 0)
+    _ascii_into(t, "", "", lines, 0, _memo(t))
     return "\n".join(lines)
 
 
-def _ascii_into(t: Tree, first: str, rest: str, lines: list[str], depth: int) -> None:
+def _ascii_into(t: Tree, first: str, rest: str, lines: list[str], depth: int,
+                memo: dict | None) -> None:
     """Append t's lines, the first prefixed with first, the others with rest;
-    depth counts the levels open around t."""
+    depth counts the levels open around t; memo is _write's."""
     if depth >= MAX_DEPTH:
         raise SizeLimit(_TOO_DEEP)
     cls = t.__class__
     if cls is Bin:
         indent = rest + "  "
-        _ascii_into(t.left, first + ". ", indent, lines, depth + 1)
-        _ascii_into(t.right, indent, indent, lines, depth + 1)
+        _ascii_into(t.left, first + ". ", indent, lines, depth + 1, memo)
+        _ascii_into(t.right, indent, indent, lines, depth + 1, memo)
     elif cls is not TipZ and cls is not TipS:
         raise ShapeError("not a tree")
     elif isinstance(t.payload, str):
         lines.append(first + t.payload)
     else:
         parts = [first]
-        _write(t.payload, parts, depth + 1)
+        _write(t.payload, parts, depth + 1, memo)
         lines.append("".join(parts))

@@ -455,9 +455,24 @@ def test_the_library_raises_five_value_error_classes():
     assert subtab.tabulate.InvalidLevel is subtab.InvalidLevel
 
 
+class _Leaf(subtab.bintree._Node):
+    """A class derived directly from the node base, which is allowed."""
+
+    __slots__ = ("payload",)
+    __match_args__ = ("payload",)
+
+
 def test_is_tree():
     assert is_tree(TipZ(0)) and is_tree(TipS(0)) and is_tree(Bin(TipS(0), TipZ(0)))
     assert not is_tree("Z(0)") and not is_tree(None)
+    # only the three node classes are trees, as flatten, encode and zip_with agree
+    for other in (subtab.bintree._Node(), _Leaf()):
+        assert not is_tree(other)
+        with pytest.raises(ShapeError):
+            flatten(other)
+        # a payload that is no tree is a scalar, not a nested table
+        assert subtab.induction._nesting_depth((other,)) == 1
+        assert subtab.induction._nesting_depth(TipZ(other)) == 1
 
 
 NODES = [TipZ(1), TipS("s"), Bin(TipS((1, 2)), TipZ(UNIT))]

@@ -19,13 +19,34 @@ from subtab import (
     choose,
     decode,
     encode,
+    flatten,
     is_tree,
+    map_tree,
     render_ascii,
+    retabulate,
 )
 from subtab.bintree import MAX_DEPTH
 
 # the most digits int() converts from a string; 0 where there is no limit
 MAX_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+DIGIT_LIMIT = pytest.mark.skipif(not MAX_INT_DIGITS, reason="no limit on int() digits")
+# one digit more than int() and str() convert
+LONG_DIGITS = "9" * (MAX_INT_DIGITS + 1)
+
+
+def _table_of_tables(*sequences: tuple) -> TipZ:
+    """A one-tip table whose payload is a table with these tips, left to
+    right: the codec reads and writes it with its integer-sequence memo."""
+    inner = TipS(sequences[0])
+    for sequence in sequences[1:]:
+        inner = Bin(inner, TipZ(sequence))
+    return TipZ(inner)
+
+
+# A sequence repeated before a faulty one, in a table of tables, and the
+# text of one whose third sequence holds an over-long integer at offset 30.
+SHARED = (1, 2)
+SHARED_LONG_TEXT = "Z(B(B(S([1,2]),Z([1,2])),Z([1," + LONG_DIGITS + "])))"
 
 
 def test_encode_examples():
@@ -112,6 +133,8 @@ def test_decode_accepts_noncanonical_integers():
             marks=pytest.mark.skipif(not MAX_INT_DIGITS, reason="no limit on int() digits"),
             id="over-long-integer-in-a-sequence",
         ),
+        pytest.param(SHARED_LONG_TEXT, 30, marks=DIGIT_LIMIT,
+                     id="over-long-integer-after-shared-sequences"),
     ],
 )
 def test_decode_reports_the_offending_position(text, position):
@@ -156,6 +179,8 @@ FIRST_FAULTS = [
                  id="bound before a tree"),
     pytest.param(decode, "Z(" + "[" * 299 + "x", ParseError, "expected a payload at position 301",
                  id="payload before the bound"),
+    pytest.param(decode, SHARED_LONG_TEXT, ParseError, "integer too long at position 30",
+                 marks=DIGIT_LIMIT, id="integer too long after shared sequences"),
 ] + [
     pytest.param(write, tree, error, message, id=f"{write.__name__}-{name}")
     for write in (encode, render_ascii)
@@ -163,7 +188,15 @@ FIRST_FAULTS = [
         ("left first", Bin(TipZ(3.5), 5), TypeError, "no encoding for payload of type float"),
         ("non-node left", Bin(5, TipZ(3.5)), ShapeError, "not a tree"),
         ("bound before payload", _tipz_chain(301, 3.5), SizeLimit, "nesting deeper than 300"),
+        # (1, True) == (1, 1), which is written before it
+        ("bool after shared sequences", _table_of_tables((1, 1), SHARED, (1, 1), SHARED, (1, True)),
+         TypeError, "bool payloads have no default encoding"),
     ]
+] + [
+    pytest.param(write, _table_of_tables(SHARED, SHARED, (1, 10**MAX_INT_DIGITS)), SizeLimit,
+                 "integer too long", marks=DIGIT_LIMIT,
+                 id=f"{write.__name__}-integer too long after shared sequences")
+    for write in (encode, render_ascii)
 ]
 
 
@@ -181,6 +214,11 @@ DEEP_TEXTS = {
     "branches": lambda d: ("B(" * (d - 1) + "Z(*)" + ",Z(*))" * (d - 1), 2 * (d - 1)),
     "sequences": lambda d: ("Z(" + "[" * (d - 1) + "]" * (d - 1) + ")", d),
     "int-tips": lambda d: ("Z(" * (d - 1) + "[1,2]" + ")" * (d - 1), 2 * (d - 1)),
+    # a table of tables whose sequence is read and written near the root
+    # first, then again d levels down: the memo does not lift the bound
+    "shared-int-tips": lambda d: (
+        "Z(B(S([1,2])," + "Z(" * (d - 4) + "Z([1,2])" + ")" * (d - 4) + "))", 2 * d + 7
+    ),
 }
 # One more level of the same kind around a tree, built by hand since
 # decode returns nothing that deep.
@@ -189,6 +227,7 @@ DEEPER = {
     "branches": lambda t: Bin(t, TipZ(UNIT)),
     "sequences": lambda t: TipZ((t.payload,)),
     "int-tips": TipZ,
+    "shared-int-tips": lambda t: TipZ(Bin(t.payload.left, TipZ(t.payload.right))),
 }
 
 
@@ -235,12 +274,17 @@ class Colour(enum.IntEnum):
 
 
 @pytest.mark.parametrize("number", [Eye(3), Colour.B], ids=["int-subclass", "IntEnum"])
-@pytest.mark.parametrize("shape", ["scalar", "mixed-sequence"])
+@pytest.mark.parametrize("shape", ["scalar", "mixed-sequence", "table-of-tables"])
 def test_int_subclasses_are_written_as_their_digits(number, shape):
     digits = f"{int(number)}"
+    held = (1, number)  # after a shared sequence, and repeated
     payload, picture = {
         "scalar": (number, digits),
         "mixed-sequence": ((number, "x"), f'[{digits},"x"]'),
+        "table-of-tables": (
+            _table_of_tables(SHARED, SHARED, held, held).payload,
+            f"B(B(B(S([1,2]),Z([1,2])),Z([1,{digits}])),Z([1,{digits}]))",
+        ),
     }[shape]
     t = TipZ(payload)
     assert encode(t) == f"Z({picture})"
@@ -285,6 +329,31 @@ def test_decode_returns_a_tree_or_raises_parse_error(text):
 def test_round_trip(case):
     _, _, t = case
     assert decode(encode(t)) == t
+
+
+def _sequence_tips(t):
+    return [w for inner in flatten(t) for w in flatten(inner)]
+
+
+def test_a_raised_table_decodes_to_shared_sequences():
+    # each of the 1716 6-sublists of 13 elements is in 7 of the raised
+    # table's entries, as retabulate shares it
+    t = retabulate(13, 6, choose(6, tuple(range(13))))
+    decoded = decode(encode(t))
+    assert decoded == t
+    tips = _sequence_tips(decoded)
+    assert len(tips) == 12012
+    assert len({id(w) for w in tips}) == 1716
+
+
+def test_shared_and_distinct_sequences_are_written_alike():
+    t = retabulate(13, 6, choose(6, tuple(range(13))))
+    unshared = map_tree(lambda inner: map_tree(lambda w: tuple(list(w)), inner), t)
+    assert unshared == t
+    assert len({id(w) for w in _sequence_tips(t)}) == 1716
+    assert len({id(w) for w in _sequence_tips(unshared)}) == 12012
+    assert encode(unshared) == encode(t)
+    assert render_ascii(unshared) == render_ascii(t)
 
 
 def test_round_trip_of_sublist_tables():
