@@ -16,7 +16,7 @@ import math
 import operator
 import re
 from dataclasses import FrozenInstanceError
-from typing import Callable, Generic, Iterator, TypeVar, Union
+from typing import Callable, Generic, TypeVar, Union
 
 P = TypeVar("P")
 Q = TypeVar("Q")
@@ -45,11 +45,9 @@ class UnknownName(ValueError):
 
 
 class InvalidLevel(ValueError):
-    """A level or size argument that is not an integer in its range.
-
-    Levels run over 0..n (0..n-1 where a level above must exist), sizes
-    over the naturals; floats, strings and None never pass, bools do.
-    """
+    """A level or size argument that is not an integer in its range: levels
+    run over 0..n (0..n-1 where a level above must exist), sizes over the
+    naturals; floats, strings and None never pass, bools do."""
 
 
 def _level(value: object, top: float) -> int:
@@ -63,11 +61,11 @@ def _level(value: object, top: float) -> int:
     return k
 
 
-def _guard(n: object, bound: int, what: str) -> int:
-    """n as a size argument, or SizeLimit past bound: every element-count limit."""
+def _guard(n: object, bound: int, what: str, unit: str = "elements") -> int:
+    """n as a size argument, or SizeLimit past bound: every size and work limit."""
     n = _level(n, math.inf)
     if n > bound:
-        raise SizeLimit(f"{what} is limited to {bound} elements, got {_digits(n)}")
+        raise SizeLimit(f"{what} is limited to {bound} {unit}, got {_digits(n)}")
     return n
 
 
@@ -96,11 +94,8 @@ UNIT = _Unit()
 
 class _Node:
     """Base of the three node classes: final, frozen, slotted, and compared,
-    hashed and printed by class and fields.
-
-    Equality, hashing, repr and pickling walk an explicit stack, so they
-    work on trees of any depth, payload trees included.
-    """
+    hashed and printed by class and fields, payload trees included, without
+    recursion; hashing and pickling take each distinct node once (_fold)."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...]
@@ -120,9 +115,17 @@ class _Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple[Callable, tuple]:
-        # pickle, copy and deepcopy take the flat post-order form, so they
-        # do not recurse once per level
-        return _from_post_order, (_post_order(self),)
+        # pickle, copy and deepcopy take one (class, *fields) per distinct
+        # node, children first, so sharing survives; a field is (p,) for a
+        # payload p that is no tree, or the index of a node listed before
+        ops: list[tuple] = []
+
+        def build(x: _Node, *fields: object) -> int:
+            ops.append((x.__class__, *fields))
+            return len(ops) - 1
+
+        _fold(self, lambda p: (p,), build)
+        return _from_post_order, (ops,)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -131,46 +134,43 @@ class _Node:
         if other.__class__ is not self.__class__:
             return NotImplemented
         pending = [(self, other)]
+        expanded, walked = set(), 0  # id(a) << 64 | id(b) for pairs of nodes expanded
         while pending:
             a, b = pending.pop()
             if a is b:
                 continue
             if isinstance(a, _Node) and a.__class__ is b.__class__:
+                walked += 1
+                if walked > 1 << 16:  # shorter walks record none; self and other keep ids alive
+                    if id(a) << 64 | id(b) in expanded:
+                        continue
+                    expanded.add(id(a) << 64 | id(b))
                 pending.extend(zip(reversed(a._fields()), reversed(b._fields())))
             elif not a == b:
                 return False
         return True
 
     def __hash__(self) -> int:
-        # each class has a fixed number of fields, so the preorder of
-        # classes and payloads determines the tree
-        return hash(tuple(x.__class__ if isinstance(x, _Node) else x for x in _preorder(self)))
+        return _fold(self, hash, lambda x, *hashes: hash((x.__class__, *hashes)))
 
     def __repr__(self) -> str:
         parts: list[str] = []
         labels: list[list[str]] = []  # for each open node, the labels still to print
-        for x in _preorder(self):
+        pending: list = [self]  # the full expansion, payload trees included, in preorder
+        while pending:
+            x = pending.pop()
             if labels:
                 parts.append(labels[-1].pop())
             if isinstance(x, _Node):
                 parts.append(f"{x.__class__.__qualname__}(")
                 labels.append(list(x._labels))
+                pending.extend(reversed(x._fields()))
                 continue
             parts.append(repr(x))
             while labels and not labels[-1]:  # the node's last field is printed
                 labels.pop()
                 parts.append(")")
         return "".join(parts)
-
-
-def _preorder(x: object) -> Iterator[object]:
-    """x, then each node's fields in order below it, payload trees included."""
-    pending = [x]
-    while pending:
-        x = pending.pop()
-        yield x
-        if isinstance(x, _Node):
-            pending.extend(reversed(x._fields()))
 
 
 class TipZ(_Node, Generic[P]):
@@ -217,45 +217,46 @@ _set_right = Bin.right.__set__
 Tree = Union[TipZ[P], TipS[P], Bin[P]]
 
 
-def _post_order(root: _Node) -> list:
-    """root's nodes, payload trees included, in post-order, as a list of ops.
+_NODES = (Bin, TipZ, TipS)
+_FOLDED = object()  # on _fold's stack, above a node whose trees are all folded
 
-    An op (p,) pushes p, a payload that is no node; a node class builds
-    a node from the values last pushed; an int i pushes the i-th node
-    built again, so a subtree shared within root is stored once.
-    """
-    ops: list = []
-    built: dict[int, int] = {}  # id(node) -> its index among the nodes built
-    pending: list[tuple[object, bool]] = [(root, False)]
+
+def _fold(root: _Node, leaf: Callable[[object], R], node: Callable[..., R]) -> R | None:
+    """node(x, *results) for each distinct node x under root, payload trees
+    included, children first, where a field of x gives its tree's result or,
+    if it is no tree, leaf(field); root's result, None if root is no tree.
+    Results are keyed by id, as root keeps every node alive."""
+    done: dict[int, R] = {}
+    pending: list = [root]
     while pending:
-        x, ready = pending.pop()
-        if ready:
-            built[id(x)] = len(built)
-            ops.append(x.__class__)
-        elif not isinstance(x, _Node):
-            ops.append((x,))
-        elif id(x) in built:
-            ops.append(built[id(x)])
+        x = pending.pop()
+        if x is _FOLDED:
+            x = pending.pop()
+            if x.__class__ is not Bin:  # a tip whose payload is a tree
+                done[id(x)] = node(x, done[id(x.payload)])
+                continue
+            left, right = x.left, x.right
+            done[id(x)] = node(x, done[id(left)] if left.__class__ in _NODES else leaf(left),
+                               done[id(right)] if right.__class__ in _NODES else leaf(right))
+        elif id(x) in done:
+            continue
+        elif x.__class__ is Bin:
+            pending += (x, _FOLDED, x.right, x.left)
+        elif x.__class__ is not TipZ and x.__class__ is not TipS:
+            continue  # no tree: its parent passes it to leaf
+        elif x.payload.__class__ in _NODES:
+            pending += (x, _FOLDED, x.payload)
         else:
-            pending.append((x, True))
-            pending.extend((v, False) for v in reversed(x._fields()))
-    return ops
+            done[id(x)] = node(x, leaf(x.payload))
+    return done.get(id(root))
 
 
-def _from_post_order(ops: list) -> _Node:
-    """The tree that _post_order took apart."""
-    stack: list = []
+def _from_post_order(ops: list[tuple]) -> _Node:
+    """The tree whose nodes __reduce__ listed."""
     nodes: list[_Node] = []
-    for op in ops:
-        if op.__class__ is tuple:
-            stack.append(op[0])
-        elif op.__class__ is int:
-            stack.append(nodes[op])
-        else:
-            arity = len(op.__match_args__)
-            nodes.append(op(*stack[-arity:]))
-            stack[-arity:] = nodes[-1:]
-    return stack[0]
+    for cls, *fields in ops:
+        nodes.append(cls(*[nodes[v] if v.__class__ is int else v[0] for v in fields]))
+    return nodes[-1]
 
 
 def is_tree(x: object) -> bool:
@@ -263,30 +264,41 @@ def is_tree(x: object) -> bool:
 
 
 def validate_shape(t: Tree[P], n: int, k: int) -> bool:
-    """Total check that t is well-formed for shape (n, k); False for non-integer n or k."""
+    """Total check that t is well-formed for shape (n, k); False for
+    non-integer n or k.  Each distinct node is checked once."""
     try:
         n = _level(n, math.inf)
         k = _level(k, n)
     except InvalidLevel:  # not an integer, or out of range however long
         return False
-    # children of a valid branch keep 0 <= k <= n, so one check suffices
-    pending = [(t, n, k)]
-    while pending:
-        t, n, k = pending.pop()
-        if k == 0 or k == n:
-            if not isinstance(t, TipS if k else TipZ):
-                return False
-        elif isinstance(t, Bin):
-            pending.append((t.left, n - 1, k))
-            pending.append((t.right, n - 1, k - 1))
-        else:
-            return False
-    return True
+    shape = _fold(t, lambda p: None, _shape)
+    return shape == ((n, k) if 0 < k < n else "Z" if k == 0 else "S")
+
+
+def _shape(x: Tree, left: object, right: object = None) -> object:
+    """The one (n, k) at which x is valid, given its children's shapes: "Z"
+    for TipZ, valid at every (m, 0), "S" for TipS, at every (m, m) with
+    m >= 1, and None where x is valid nowhere."""
+    if x.__class__ is not Bin:
+        return "Z" if x.__class__ is TipZ else "S"
+    if left.__class__ is tuple:  # (n + 1, k), with right valid at (n, k - 1)
+        n, k = left
+        return (n + 1, k) if right == ("Z" if k == 1 else (n, k - 1)) else None
+    if left == "S" and right == "Z":  # (m + 1, m), with right valid at (m, m - 1)
+        return 2, 1
+    if left == "S" and right.__class__ is tuple and right[0] == right[1] + 1:
+        return right[0] + 1, right[0]
+    return None
 
 
 def size(t: Tree[P]) -> int:
-    """Number of payloads; C(n, k) for a tree valid at (n, k)."""
-    return len(flatten(t))
+    """Number of payloads; C(n, k) for a tree valid at (n, k).  Each distinct
+    node is counted once, so a shared table costs its nodes, not its payloads."""
+    count = _fold(t, lambda p: None, lambda x, left, right=0: 1 if x.__class__ is not Bin
+                  else None if None in (left, right) else left + right)
+    if count is None:
+        raise ShapeError("not a tree")
+    return count
 
 
 def map_tree(f: Callable[[P], Q], t: Tree[P]) -> Tree[Q]:
@@ -354,14 +366,11 @@ def flatten(t: Tree[P]) -> tuple[P, ...]:
 # each digit body once, so equal tips share one tuple.  Flat tables take no memo.
 #
 # Each 'Z(', 'S(', 'B(' and '[' opens one nesting level.  The reader and
-# the writer take depth, the number of levels open around the call, and
-# each opener raises at depth >= MAX_DEPTH: decode a ParseError at it,
-# encode and render_ascii SizeLimit, so deep input never exhausts the
-# interpreter stack.  At a tree position, the root or a branch's child,
-# the bound is checked before the node class.
+# the writer take depth, the levels open around the call, and each opener
+# raises at depth >= MAX_DEPTH (decode ParseError, encode and render_ascii
+# SizeLimit), checked at a tree position before the node class.
 
 MAX_DEPTH = 300
-_NODES = (Bin, TipZ, TipS)
 _TOO_DEEP = f"nesting deeper than {MAX_DEPTH}"
 
 # A scalar payload: '*', an ASCII integer, or a string with its body in
@@ -386,10 +395,8 @@ def _memo(t: object) -> dict | None:
 
 
 def encode(t: Tree[P]) -> str:
-    """Render t in the single-line text form.
-
-    Payloads may be unit, int, str, tuple or nested trees.
-    """
+    """Render t in the single-line text form; payloads may be unit, int,
+    str, tuple or nested trees."""
     if t.__class__ not in _NODES:
         raise ShapeError("not a tree")
     parts: list[str] = []
@@ -401,9 +408,9 @@ def _write(p: object, parts: list[str], depth: int, memo: dict | None) -> None:
     """Append payload p, a node or a scalar or a sequence; depth counts the
     levels open around it, and memo, if any, maps id(tuple) to its text."""
     cls = p.__class__
+    if depth >= MAX_DEPTH and (cls in _NODES or isinstance(p, tuple)):
+        raise SizeLimit(_TOO_DEEP)
     if cls is Bin:
-        if depth >= MAX_DEPTH:
-            raise SizeLimit(_TOO_DEEP)
         depth += 1
         parts.append("B(")
         # a branch's children are trees: past the bound, the bound wins
@@ -418,14 +425,10 @@ def _write(p: object, parts: list[str], depth: int, memo: dict | None) -> None:
         _write(child, parts, depth, memo)
         parts.append(")")
     elif cls is TipZ or cls is TipS:
-        if depth >= MAX_DEPTH:
-            raise SizeLimit(_TOO_DEEP)
         parts.append("Z(" if cls is TipZ else "S(")
         _write(p.payload, parts, depth + 1, memo)
         parts.append(")")
     elif isinstance(p, tuple):
-        if depth >= MAX_DEPTH:
-            raise SizeLimit(_TOO_DEEP)
         if memo and (text := memo.get(id(p))):  # a memo holds no empty text
             parts.append(text)
             return
@@ -460,11 +463,8 @@ def _write(p: object, parts: list[str], depth: int, memo: dict | None) -> None:
 
 
 def decode(text: str) -> Tree:
-    """Parse the text form back into a tree.
-
-    Raises ParseError with the offending offset on malformed input,
-    including trailing characters and nesting deeper than MAX_DEPTH.
-    """
+    """Parse the text form back into a tree; ParseError with the offending
+    offset on malformed input, trailing characters included."""
     t, pos = _read(text, 0, 0, True, {} if _NESTED.match(text) else None)
     if pos != len(text):
         raise ParseError("trailing input", pos)
@@ -537,13 +537,10 @@ def _expect(s: str, i: int, ch: str) -> int:
 
 
 def render_ascii(t: Tree[P]) -> str:
-    """Indented multi-line picture of a tree.
-
-    A branch prints '. ' followed by its left subtree, with the right
-    subtree below it, both indented two columns.  Tips print just their
-    payload, which is assumed to render on one line.  Strings render bare;
-    other payloads fall back to the codec form.
-    """
+    """Indented multi-line picture of a tree: a branch prints '. ' and its
+    left subtree, with the right subtree below it, both indented two
+    columns; a tip prints its payload on one line, a string bare and
+    others in the codec form."""
     lines: list[str] = []
     _ascii_into(t, "", "", lines, 0, _memo(t))
     return "\n".join(lines)

@@ -17,7 +17,8 @@ from itertools import chain, islice
 from typing import Callable, Generic, Sequence, TypeVar
 
 from .bintree import (
-    TipZ, Tree, UnknownName, _digits, _guard, flatten, is_tree, map_tree, un_tip, zip_with,
+    Bin, TipZ, Tree, UnknownName, _digits, _fold, _guard, flatten, is_tree, map_tree, un_tip,
+    zip_with,
 )
 from .tabulate import _cd, _joinable, choose, retabulate
 
@@ -135,13 +136,12 @@ class CallStats:
 
 
 def _nesting_depth(t: tuple | Tree) -> int:
-    """1 for a flat table (a tuple or a tree), 2 for a table of tables, and
-    so on; payloads that are themselves trees count as nested tables."""
-    depth, level = 0, [t]
-    while level:  # the tables one nesting level down, until none is left
-        depth += 1
-        level = [p for u in level for p in (u if type(u) is tuple else flatten(u)) if is_tree(p)]
-    return depth
+    """1 for a flat table (a tuple or a tree), 2 for a table of tables, and so
+    on: payload trees count as nested tables, each distinct node once."""
+    if type(t) is tuple:
+        return 1 + max((_nesting_depth(p) for p in t if is_tree(p)), default=0)
+    return _fold(t, lambda p: 0, lambda x, *depths: max(depths) if x.__class__ is Bin
+                 else 1 + depths[0])
 
 
 def run_instrumented(

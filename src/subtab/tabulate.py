@@ -9,7 +9,7 @@ entries at all of its immediate sublists.
 from __future__ import annotations
 
 from itertools import repeat
-from math import comb
+from math import comb, inf
 from typing import Callable, Sequence, TypeVar
 
 from .bintree import (
@@ -21,8 +21,10 @@ from .bintree import (
     Tree,
     UNIT,
     _digits,
+    _fold,
     _guard,
     _level,
+    _shape,
     flatten,
     map_tree,
     un_tip,
@@ -74,15 +76,17 @@ def _joinable(xs: Seq[E]) -> tuple[Seq[E], Seq[E]]:
 
 
 def blank(n: int, k: int) -> Tree[object]:
-    """The unique unit-payload tree of shape (n, k), n <= 100,000, built bottom-up
-    with equal subtrees shared: O(n * min(k, n - k) + n) nodes, no recursion."""
-    return _blank(_guard(n, 100_000, "blank"), k)
+    """The unique unit-payload tree of shape (n, k), n <= 100,000, built bottom-up with
+    equal subtrees shared, no recursion: k * (n - k) <= 2,000,000 branches."""
+    n = _guard(n, 100_000, "blank")
+    k = _level(k, n)
+    _guard(k * (n - k), 2_000_000, "blank", "nodes")
+    return _blank(n, k)
 
 
 def _blank(n: int, k: int) -> Tree[object]:
-    """blank for an n already checked, with no size bound: retabulate's
+    """blank for an (n, k) already checked, with no size bound: retabulate's
     level-0 result is an n-payload chain, however long its source."""
-    k = _level(k, n)
     zero, full = TipZ(UNIT), TipS(UNIT)
     lo, row = 0, [zero]  # row[i] is blank(m, lo + i), for the k' that (n, k) reaches
     for m in range(1, n + 1):
@@ -98,13 +102,15 @@ def retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
     The result is valid at (n, k+1); each payload is itself a (k+1, k)
     table grouping the entries of t at all immediate sublists of one
     (k+1)-sublist, ordered with the sublist omitting the newest element
-    first.  k runs over 0..n-1 and n up to 10^6; t is validated once up
-    front, then raised in one post-order loop.
+    first.  k runs over 0..n-1; t is validated once up front, and the result,
+    C(n, k+1) tables of k+1 entries, holds at most 1,100,000 entries in all.
     """
-    n = _guard(n, 1_000_000, "retabulate")
+    n = _level(n, inf)
     k = _level(k, n - 1)
     if not validate_shape(t, n, k):
         raise ShapeError(f"tree does not validate at ({_digits(n)}, {k})")
+    # valid at (n, k), t holds k * (n - k) distinct branches, so comb is cheap
+    _guard(comb(n, k + 1) * (k + 1), 1_100_000, "retabulate", "entries")
     if not k:
         return map_tree(lambda _: t, _blank(n, 1))  # each payload is the (1, 0) table t
     done, todo = [], [t]
@@ -158,18 +164,14 @@ def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:
     on any other t.  _cd fills one column per child position from
     flatten(t), and the zipped rows fill the (n, k+1) skeleton.
     """
-    lefts = k = 0  # a valid t has n - k branches down its left spine, k down its right
-    left = right = t
-    while left.__class__ is Bin:
-        lefts, left = lefts + 1, left.left
-    while right.__class__ is Bin:
-        k, right = k + 1, right.right
-    if not (k >= 1 and validate_shape(t, lefts + k, k)):
+    shape = _fold(t, lambda p: None, _shape)  # a pair (n, k) only for a branch
+    if shape.__class__ is not tuple:
         raise ShapeError("tree is valid at no (n, k) with 1 <= k < n")
+    n, k = shape
     columns: list[list[P]] = [[] for _ in range(k + 1)]
-    _cd(columns, flatten(t), lefts + k, k, 0, 0)
+    _cd(columns, flatten(t), n, k, 0, 0)
     rows = zip(*columns)
-    return map_tree(lambda _: next(rows), _blank(lefts + k, k + 1))
+    return map_tree(lambda _: next(rows), _blank(n, k + 1))
 
 
 def check_spec_equation(k: int, xs: Seq[E]) -> bool:
@@ -209,7 +211,7 @@ def check_naturality(
 
 def check_rotation(n: int, k: int) -> bool:
     """Does raising the blank (n, k) table give blank (k+1, k) payloads
-    arranged in the blank (n, k+1) skeleton?  n is at most 300."""
+    arranged in the blank (n, k+1) skeleton?  n <= 300, in retabulate's bound."""
     n = _guard(n, 300, "check_rotation")
     raised = retabulate(n, k, blank(n, k))  # checks k
     return raised == map_tree(lambda _: blank(k + 1, k), blank(n, k + 1))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import functools
 import pickle
+import random
 from array import array
 from dataclasses import FrozenInstanceError
 from math import comb
@@ -99,6 +100,77 @@ def test_size_counts_payloads():
     for n in range(9):
         for k in range(n + 1):
             assert size(blank(n, k)) == comb(n, k)
+
+
+def _walked_validate_shape(t, n, k):
+    """validate_shape as a stack walk over the full expansion, for 0 <= k <= n:
+    the oracle for the sharing-aware one."""
+    pending = [(t, n, k)]
+    while pending:
+        t, n, k = pending.pop()
+        if k == 0 or k == n:
+            if not isinstance(t, TipS if k else TipZ):
+                return False
+        elif isinstance(t, Bin):
+            pending.append((t.left, n - 1, k))
+            pending.append((t.right, n - 1, k - 1))
+        else:
+            return False
+    return True
+
+
+def _random_tree(rng, depth, pool):
+    """A random tree at most depth levels deep; with a pool, a subtree is
+    now and then one made before, and every subtree made joins it."""
+    if pool and rng.random() < 0.3:
+        return rng.choice(pool)
+    if depth == 0 or rng.random() < 0.3:
+        t = rng.choice([TipZ, TipS])(rng.randrange(3))
+    else:
+        t = Bin(_random_tree(rng, depth - 1, pool), _random_tree(rng, depth - 1, pool))
+    if pool is not None:
+        pool.append(t)
+    return t
+
+
+def _graft(rng, t, scion):
+    """t with scion in place of one subtree, t itself included."""
+    if isinstance(t, Bin) and rng.random() < 0.75:
+        if rng.random() < 0.5:
+            return Bin(_graft(rng, t.left, scion), t.right)
+        return Bin(t.left, _graft(rng, t.right, scion))
+    return scion
+
+
+def test_validate_shape_agrees_with_a_walk_of_the_full_expansion():
+    rng = random.Random(2026)
+    blanks = [blank(n, m) for n in range(9) for m in range(n + 1)]
+    non_trees = [5, None, SimpleNamespace(payload=7, left=TipS(1), right=TipZ(1))]
+    cases = list(blanks)
+    for _ in range(800):
+        cases.append(_random_tree(rng, rng.randrange(8), None))
+        cases.append(_random_tree(rng, rng.randrange(8), []))  # shared subtrees
+        cases.append(_graft(rng, rng.choice(blanks), rng.choice(non_trees)))
+        cases.append(_graft(rng, rng.choice(blanks), _random_tree(rng, 3, [])))
+    for t in cases:
+        for n in range(9):
+            for k in range(n + 2):
+                want = k <= n and _walked_validate_shape(t, n, k)
+                assert validate_shape(t, n, k) is want, (t, n, k)
+
+
+def test_shared_tables_take_time_by_their_nodes():
+    # blank(60, 30) holds 1.2e17 payloads on 902 nodes; the other build
+    # shares no node with it
+    t, other = blank(60, 30), blank(60, 30)
+    assert size(t) == comb(60, 30)
+    assert validate_shape(t, 60, 30)
+    assert not validate_shape(t, 60, 29) and not validate_shape(t, 61, 30)
+    assert t == other and hash(t) == hash(other)
+    small = blank(12, 6)
+    unshared = map_tree(lambda p: p, small)
+    assert unshared.left.right is not unshared.right.left
+    assert small == unshared and hash(small) == hash(unshared)
 
 
 def test_map_tree_touches_every_payload_in_place():
@@ -303,7 +375,8 @@ def _large_trees() -> tuple[Tree, ...]:
 
 # each tree function, on one tree; retabulate and cd_classic only raise
 # the n = 2000 table at k = n - 1: at k = 1 (and on the left chain, a
-# valid (5001, 1) table) they build millions of payloads
+# valid (5001, 1) table) cd_classic builds millions of payloads; the
+# middle-k calls must raise SizeLimit before the work they bound starts
 TREE_CALLS = {
     "flatten": flatten,
     "size": size,
@@ -320,9 +393,12 @@ TREE_CALLS = {
     "deepcopy": lambda t: copy.deepcopy(t) == t,
     "check_functor_laws": lambda t: check_functor_laws(t, repr, lambda p: (p,)) == (True, True),
 }
-RAISE_AT_N_MINUS_1 = {
+LARGE_CALLS = {
     "retabulate": lambda: retabulate(2000, 1999, _large_trees()[1]),
     "cd_classic": lambda: cd_classic(_large_trees()[1]),
+    "retabulate-middle-k": lambda: retabulate(40, 20, blank(40, 20)),
+    "check_rotation-middle-k": lambda: check_rotation(300, 150),
+    "blank-middle-k": lambda: blank(100_000, 50_000),
 }
 # each call that takes a level or size v, over a 3-element source xs
 LEVEL_CALLS = {
@@ -352,12 +428,12 @@ ODD_LEVELS = (1.0, True, "1", None, -1, 4, 21, 63, 10**30, 10**5000)
 SOURCES = (range(3), b"abc", array("i", [1, 2, 3]), "abc")
 
 
-@pytest.mark.parametrize("name", [*TREE_CALLS, *RAISE_AT_N_MINUS_1, *LEVEL_CALLS])
+@pytest.mark.parametrize("name", [*TREE_CALLS, *LARGE_CALLS, *LEVEL_CALLS])
 def test_public_calls_return_or_raise_a_library_error(name):
     if name in TREE_CALLS:
         calls = [functools.partial(TREE_CALLS[name], t) for t in _large_trees()]
-    elif name in RAISE_AT_N_MINUS_1:
-        calls = [RAISE_AT_N_MINUS_1[name]]
+    elif name in LARGE_CALLS:
+        calls = [LARGE_CALLS[name]]
     else:
         calls = [functools.partial(LEVEL_CALLS[name], v, xs) for v in ODD_LEVELS for xs in SOURCES]
     must_hold = name in ("pickle", "deepcopy", "check_functor_laws")
@@ -432,6 +508,27 @@ def test_size_arguments_are_bounded(call, what, bound):
     for n in (bound + 1, 10**30):
         with pytest.raises(SizeLimit, match=f"^{what} is limited to {bound} elements, got {n}$"):
             call(n)
+
+
+def test_blank_and_retabulate_bound_their_work():
+    # each raises before the work it bounds starts, work that would take hours
+    limits = {
+        lambda: blank(100_000, 50_000): "blank is limited to 2000000 nodes, got 2500000000",
+        lambda: blank(100_000, 21): "blank is limited to 2000000 nodes, got 2099559",
+        lambda: retabulate(40, 20, blank(40, 20)):
+            f"retabulate is limited to 1100000 entries, got {comb(40, 21) * 21}",
+        lambda: check_rotation(300, 150):
+            f"retabulate is limited to 1100000 entries, got {comb(300, 151) * 151}",
+        lambda: retabulate(1_100_001, 0, TipZ(0)):
+            "retabulate is limited to 1100000 entries, got 1100001",
+    }
+    for call, message in limits.items():
+        with pytest.raises(SizeLimit, match=f"^{message}$"):
+            call()
+    # a shape check comes first, and costs the tree's distinct nodes
+    with pytest.raises(ShapeError):
+        retabulate(10**6, 5 * 10**5, TipZ(0))
+    assert size(blank(100_000, 1)) == 100_000
 
 
 def test_non_trees_below_the_root_are_shape_errors():

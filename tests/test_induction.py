@@ -18,6 +18,7 @@ from subtab import (
     Solver,
     TipZ,
     UnknownName,
+    blank,
     bu,
     bu_call_count,
     choose,
@@ -403,6 +404,15 @@ def test_peak_nesting_walk_does_not_recurse_per_nesting_level():
         sys.setrecursionlimit(limit)
     assert result is deep
     assert stats.peak_nesting == 301  # the children tuple and 300 tables
+
+
+def test_peak_nesting_takes_a_shared_table_by_its_nodes():
+    # blank(40, 20) holds 1.4e11 payloads on some 400 nodes; bu counts one
+    # table layer more than td, as in the profiles above
+    solver = Solver(e=lambda: blank(40, 20), g=lambda ys, children: children[0])
+    for alg, layers in (("td", 0), ("bu", 1)):
+        _, stats = run_instrumented(alg, solver, (1,))
+        assert stats.peak_nesting == layers + 2  # the children tuple and the table
 
 
 def test_instrumentation_does_not_change_the_result():
