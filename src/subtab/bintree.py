@@ -365,10 +365,10 @@ def flatten(t: Tree[P]) -> tuple[P, ...]:
 # keyed by id (the tree keeps it alive; (True, 2) equals (1, 2)), and reads
 # each digit body once, so equal tips share one tuple.  Flat tables take no memo.
 #
-# Each 'Z(', 'S(', 'B(' and '[' opens one nesting level.  The reader and
-# the writer take depth, the levels open around the call, and each opener
-# raises at depth >= MAX_DEPTH (decode ParseError, encode and render_ascii
-# SizeLimit), checked at a tree position before the node class.
+# Each 'Z(', 'S(', 'B(' and '[' opens one nesting level.  The reader and the
+# writer take depth, the levels open around the call, and whether a tree must
+# stand there; an opener or a tree position at depth >= MAX_DEPTH raises (decode
+# ParseError, encode and render_ascii SizeLimit) before the class is checked.
 
 MAX_DEPTH = 300
 _TOO_DEEP = f"nesting deeper than {MAX_DEPTH}"
@@ -397,36 +397,28 @@ def _memo(t: object) -> dict | None:
 def encode(t: Tree[P]) -> str:
     """Render t in the single-line text form; payloads may be unit, int,
     str, tuple or nested trees."""
-    if t.__class__ not in _NODES:
-        raise ShapeError("not a tree")
     parts: list[str] = []
-    _write(t, parts, 0, _memo(t))
+    _write(t, parts, 0, True, _memo(t))
     return "".join(parts)
 
 
-def _write(p: object, parts: list[str], depth: int, memo: dict | None) -> None:
-    """Append payload p, a node or a scalar or a sequence; depth counts the
-    levels open around it, and memo, if any, maps id(tuple) to its text."""
+def _write(p: object, parts: list[str], depth: int, tree: bool, memo: dict | None) -> None:
+    """Append payload p, which must be a tree where tree is set; depth counts
+    the levels open around it, and memo, if any, maps id(tuple) to its text."""
     cls = p.__class__
-    if depth >= MAX_DEPTH and (cls in _NODES or isinstance(p, tuple)):
+    if depth >= MAX_DEPTH and (tree or cls in _NODES or isinstance(p, tuple)):
         raise SizeLimit(_TOO_DEEP)
+    if tree and cls not in _NODES:
+        raise ShapeError("not a tree")
     if cls is Bin:
-        depth += 1
         parts.append("B(")
-        # a branch's children are trees: past the bound, the bound wins
-        child = p.left
-        if child.__class__ not in _NODES:
-            raise SizeLimit(_TOO_DEEP) if depth >= MAX_DEPTH else ShapeError("not a tree")
-        _write(child, parts, depth, memo)
+        _write(p.left, parts, depth + 1, True, memo)
         parts.append(",")
-        child = p.right
-        if child.__class__ not in _NODES:
-            raise SizeLimit(_TOO_DEEP) if depth >= MAX_DEPTH else ShapeError("not a tree")
-        _write(child, parts, depth, memo)
+        _write(p.right, parts, depth + 1, True, memo)
         parts.append(")")
     elif cls is TipZ or cls is TipS:
         parts.append("Z(" if cls is TipZ else "S(")
-        _write(p.payload, parts, depth + 1, memo)
+        _write(p.payload, parts, depth + 1, False, memo)
         parts.append(")")
     elif isinstance(p, tuple):
         if memo and (text := memo.get(id(p))):  # a memo holds no empty text
@@ -445,7 +437,7 @@ def _write(p: object, parts: list[str], depth: int, memo: dict | None) -> None:
         for i, item in enumerate(p):
             if i:
                 parts.append(",")
-            _write(item, parts, depth + 1, memo)
+            _write(item, parts, depth + 1, False, memo)
         parts.append("]")
     elif p is UNIT:
         parts.append("*")
@@ -563,5 +555,5 @@ def _ascii_into(t: Tree, first: str, rest: str, lines: list[str], depth: int,
         lines.append(first + t.payload)
     else:
         parts = [first]
-        _write(t.payload, parts, depth + 1, memo)
+        _write(t.payload, parts, depth + 1, False, memo)
         lines.append("".join(parts))

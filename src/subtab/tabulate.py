@@ -159,15 +159,16 @@ def _cd(columns: list[list], level: Seq, m: int, j: int, lo: int, shift: int) ->
 def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:
     """Flat level raising, the one bu iterates: payloads are tuples, not tables.
 
-    Matches map_tree(flatten, retabulate(n, k, t)), its specification,
-    on any t valid at some (n, k) with 1 <= k < n, and raises ShapeError
-    on any other t.  _cd fills one column per child position from
-    flatten(t), and the zipped rows fill the (n, k+1) skeleton.
+    Matches map_tree(flatten, retabulate(n, k, t)), its specification, and
+    its bound of 1,100,000 entries, on any t valid at some (n, k) with
+    1 <= k < n, and raises ShapeError on any other t.  _cd fills one column
+    per child position from flatten(t); the rows fill the (n, k+1) skeleton.
     """
     shape = _fold(t, lambda p: None, _shape)  # a pair (n, k) only for a branch
     if shape.__class__ is not tuple:
         raise ShapeError("tree is valid at no (n, k) with 1 <= k < n")
     n, k = shape
+    _guard(comb(n, k + 1) * (k + 1), 1_100_000, "cd_classic", "entries")
     columns: list[list[P]] = [[] for _ in range(k + 1)]
     _cd(columns, flatten(t), n, k, 0, 0)
     rows = zip(*columns)

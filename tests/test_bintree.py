@@ -374,8 +374,8 @@ def _large_trees() -> tuple[Tree, ...]:
 
 
 # each tree function, on one tree; retabulate and cd_classic only raise
-# the n = 2000 table at k = n - 1: at k = 1 (and on the left chain, a
-# valid (5001, 1) table) cd_classic builds millions of payloads; the
+# the n = 2000 table at k = n - 1, as at k = 1 (and on the left chain, a
+# valid (5001, 1) table) their results pass their bound of entries; the
 # middle-k calls must raise SizeLimit before the work they bound starts
 TREE_CALLS = {
     "flatten": flatten,
@@ -397,6 +397,7 @@ LARGE_CALLS = {
     "retabulate": lambda: retabulate(2000, 1999, _large_trees()[1]),
     "cd_classic": lambda: cd_classic(_large_trees()[1]),
     "retabulate-middle-k": lambda: retabulate(40, 20, blank(40, 20)),
+    "cd_classic-middle-k": lambda: cd_classic(blank(40, 20)),
     "check_rotation-middle-k": lambda: check_rotation(300, 150),
     "blank-middle-k": lambda: blank(100_000, 50_000),
 }
@@ -517,6 +518,8 @@ def test_blank_and_retabulate_bound_their_work():
         lambda: blank(100_000, 21): "blank is limited to 2000000 nodes, got 2099559",
         lambda: retabulate(40, 20, blank(40, 20)):
             f"retabulate is limited to 1100000 entries, got {comb(40, 21) * 21}",
+        lambda: cd_classic(blank(40, 20)):
+            f"cd_classic is limited to 1100000 entries, got {comb(40, 21) * 21}",
         lambda: check_rotation(300, 150):
             f"retabulate is limited to 1100000 entries, got {comb(300, 151) * 151}",
         lambda: retabulate(1_100_001, 0, TipZ(0)):

@@ -149,6 +149,15 @@ def _tipz_chain(depth: int, leaf: object) -> TipZ:
     return leaf
 
 
+def _branches_over(depth: int, left: object, right: object) -> Bin:
+    """Bin(left, right) as the last of depth branches down a left spine,
+    so its children stand depth levels deep."""
+    t = Bin(left, right)
+    for _ in range(depth - 1):
+        t = Bin(t, TipZ(1))
+    return t
+
+
 # Each fault decode names, and which fault each reader and writer reports
 # first where there are two.  At a tree position the depth bound wins over
 # the character; at a payload position only an opener checks it.  The
@@ -187,6 +196,20 @@ FIRST_FAULTS = [
     for name, tree, error, message in [
         ("left first", Bin(TipZ(3.5), 5), TypeError, "no encoding for payload of type float"),
         ("non-node left", Bin(5, TipZ(3.5)), ShapeError, "not a tree"),
+        ("non-node right", Bin(TipZ(1), 5), ShapeError, "not a tree"),
+        ("int root", 5, ShapeError, "not a tree"),
+        ("tuple root", (1, 2), ShapeError, "not a tree"),
+        ("None root", None, ShapeError, "not a tree"),
+        # a child one level short of the bound is checked for its class,
+        # one at the bound is past it: the bound wins
+        ("non-node left under 299 branches", _branches_over(299, 5, TipZ(1)),
+         ShapeError, "not a tree"),
+        ("non-node left under 300 branches", _branches_over(300, 5, TipZ(1)),
+         SizeLimit, "nesting deeper than 300"),
+        ("non-node right under 299 branches", _branches_over(299, TipZ(1), 5),
+         ShapeError, "not a tree"),
+        ("non-node right under 300 branches", _branches_over(300, TipZ(1), 5),
+         SizeLimit, "nesting deeper than 300"),
         ("bound before payload", _tipz_chain(301, 3.5), SizeLimit, "nesting deeper than 300"),
         # (1, True) == (1, 1), which is written before it
         ("bool after shared sequences", _table_of_tables((1, 1), SHARED, (1, 1), SHARED, (1, True)),
