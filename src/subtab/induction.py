@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Callable, Generic, Sequence, TypeVar
+from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
 from .bintree import (
-    Bin, TipZ, Tree, UnknownName, _digits, _fold, _guard, flatten, is_tree, map_tree, un_tip,
+    Bin, TipZ, Tree, UnknownName, _NODES, _digits, _fold, _guard, flatten, map_tree, un_tip,
     zip_with,
 )
 from .tabulate import _cd, _joinable, choose, retabulate
@@ -82,19 +82,39 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
     sublist is answered once, no tree is built, and only two levels and
     one level's children are ever live.
     """
+    for answer in _bu_levels(solver, xs):  # the level records, then the answer
+        pass
+    return answer
+
+
+# What bu did to answer level k + 1: sublists keyed, answers held at its end (level k's
+# and k + 1's), answers map(g, ...) returned, ns on keys, _cd and map, depth(first row).
+LevelRecord = namedtuple("LevelRecord", "k entries live g_calls keys_ns cd_ns g_ns nesting")
+
+
+def _bu_levels(solver: Solver[E, S], xs: Sequence[E], depth=lambda row: 0) -> Iterator:
+    """bu's sweep: a LevelRecord as each level is answered, then the answer
+    for xs.  Nothing but g runs per sublist; a few clock reads run per level."""
     xs, empty = _joinable(xs)
-    n = len(xs)
+    n, clock = len(xs), time.perf_counter_ns
     level, keys = [solver.e()], [empty]
     for k in range(n):
         columns: list[list[S]] = [[] for _ in range(k + 1)]  # first, to free the last ones
+        start = clock()
         # level k+1's keys starting at xs[n - 1], then xs[n - 2], ...: choose
         # lists the level-k keys of xs[i + 1:] first, so islice reads them
         keys = [*chain.from_iterable(
             map(xs[i : i + 1].__add__, islice(keys, math.comb(n - 1 - i, k)))
             for i in reversed(range(n)))]  # level k's keys are gone before _cd runs
+        keyed = clock()
         _cd(columns, level, n, k, 0, 0)
-        level = list(map(solver.g, keys, zip(*columns)))
-    return level[0]
+        regrouped = clock()
+        answers = list(map(solver.g, keys, zip(*columns)))
+        solved = clock()
+        yield LevelRecord(k, len(keys), len(level) + len(answers), len(answers), keyed - start,
+                          regrouped - keyed, solved - regrouped, depth(next(zip(*columns))))
+        level = answers
+    yield level[0]
 
 
 def bu_spec(solver: Solver[E, S], xs: Sequence[E]) -> S:
@@ -124,8 +144,10 @@ class CallStats:
     nesting of the first children tuple g receives for each sublist
     size, as all of one size are built alike; on empty input, where g is
     never called, it is the layer count alone, whatever e() returns.
-    g_key_counts maps tuple(ys), for each ys td passes to g, to its call
-    count; bu answers each sublist once and leaves it empty.
+    td counts g calls and nesting in a wrapper around g, and g_key_counts
+    maps tuple(ys), for each ys it passes to g, to its call count.  bu,
+    answering each sublist once, leaves g_key_counts empty and reads
+    both counts off levels, one LevelRecord per level (td leaves it empty).
     """
 
     g_calls: int = 0
@@ -133,13 +155,14 @@ class CallStats:
     peak_nesting: int = 0
     wall_ns: int = 0
     g_key_counts: Counter = field(default_factory=Counter)
+    levels: list[LevelRecord] = field(default_factory=list)
 
 
 def _nesting_depth(t: tuple | Tree) -> int:
     """1 for a flat table (a tuple or a tree), 2 for a table of tables, and so
     on: payload trees count as nested tables, each distinct node once."""
     if type(t) is tuple:
-        return 1 + max((_nesting_depth(p) for p in t if is_tree(p)), default=0)
+        return 1 + max((_nesting_depth(p) for p in t if p.__class__ in _NODES), default=0)
     return _fold(t, lambda p: 0, lambda x, *depths: max(depths) if x.__class__ is Bin
                  else 1 + depths[0])
 
@@ -147,16 +170,11 @@ def _nesting_depth(t: tuple | Tree) -> int:
 def run_instrumented(
     alg: str, solver: Solver[E, S], xs: Sequence[E]
 ) -> tuple[S, CallStats]:
-    """Run td or bu with counting wrappers around the solver callbacks.
-
-    The result is identical to the uninstrumented run.
-    """
+    """Run td or bu, counting e calls, g calls and nesting as CallStats says;
+    the result is identical to the uninstrumented run."""
     driver, layers = _named(_DRIVERS, alg, "algorithm")
-
     stats = CallStats(peak_nesting=layers)
     walked_sizes: set[int] = set()
-    # only td can reach a sublist twice
-    keys = stats.g_key_counts if driver is td else None
 
     def counted_e() -> S:
         stats.e_calls += 1
@@ -164,18 +182,22 @@ def run_instrumented(
 
     def counted_g(ys: Sequence[E], children: tuple[S, ...]) -> S:
         stats.g_calls += 1
-        if keys is not None:
-            keys[tuple(ys)] += 1
+        stats.g_key_counts[tuple(ys)] += 1
         if len(ys) not in walked_sizes:
             walked_sizes.add(len(ys))
             d = layers + _nesting_depth(children)
             stats.peak_nesting = max(stats.peak_nesting, d)
         return solver.g(ys, children)
 
-    wrapped = Solver(e=counted_e, g=counted_g)
     start = time.perf_counter_ns()
-    result = driver(wrapped, xs)
+    if driver is td:
+        result = td(Solver(e=counted_e, g=counted_g), xs)
+    else:
+        *stats.levels, result = _bu_levels(Solver(e=counted_e, g=solver.g), xs, _nesting_depth)
     stats.wall_ns = time.perf_counter_ns() - start
+    for level in stats.levels:
+        stats.g_calls += level.g_calls
+        stats.peak_nesting = max(stats.peak_nesting, layers + level.nesting)
     return result, stats
 
 

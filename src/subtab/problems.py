@@ -49,14 +49,17 @@ def _inputs(alphabet: Seq) -> Callable[[int, int], tuple]:
 
 DIGEST_SEED = 0x9E3779B97F4A7C15  # answer for the empty sequence
 _PACK = functools.cache(lambda m: struct.Struct(f"<{m}Q").pack)  # m children as bytes
+_MIX = blake2b(digest_size=8)  # each message hashes from a copy of this prepared state
 
 
 def _digest_g(ys: Seq, children: tuple[int, ...] | Tree[int]) -> int:
     """mix64 of one message: ys's repr followed by its packed children."""
     # perfbench/reference.py's memoised_top_down passes a right-spine table
     kids = children if type(children) is tuple else flatten(children)
-    message = repr(tuple(ys)).encode() + _PACK(len(kids))(*kids)
-    return int.from_bytes(blake2b(message, digest_size=8).digest(), "little")
+    mix = _MIX.copy()
+    mix.update(repr(tuple(ys)).encode())
+    mix.update(_PACK(len(kids))(*kids))
+    return int.from_bytes(mix.digest(), "little")
 
 
 def digest_problem() -> Problem:

@@ -5,6 +5,7 @@ import inspect
 import sys
 import weakref
 from array import array
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from math import comb, factorial
 from random import Random
@@ -372,6 +373,53 @@ def test_call_counts_match_closed_forms():
         _, bu_stats = run_instrumented("bu", COUNT, xs)
         assert bu_stats.g_calls == bu_call_count(n)
         assert bu_stats.e_calls == 1
+
+
+def test_bu_level_records():
+    for n in range(11):
+        calls = Counter()
+
+        def g(ys, children):
+            calls[len(ys)] += 1
+            return 1 + sum(children)
+
+        _, stats = run_instrumented("bu", Solver(e=lambda: 1, g=g), tuple(range(n)))
+        assert [level.k for level in stats.levels] == list(range(n))
+        assert [level.entries for level in stats.levels] == [comb(n, k + 1) for k in range(n)]
+        assert [level.live for level in stats.levels] == [
+            comb(n, k) + comb(n, k + 1) for k in range(n)
+        ]
+        assert [level.g_calls for level in stats.levels] == [calls[k + 1] for k in range(n)]
+        assert sum(level.g_calls for level in stats.levels) == stats.g_calls == bu_call_count(n)
+        for level in stats.levels:
+            assert level.nesting == 1  # a children tuple of ints
+            for ns in (level.keys_ns, level.cd_ns, level.g_ns):
+                assert type(ns) is int and ns >= 0
+    _, td_stats = run_instrumented("td", COUNT, tuple(range(4)))
+    assert td_stats.levels == []
+
+
+def test_bu_instrumentation_runs_nothing_per_sublist():
+    def python_calls(run):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    n = 8
+    xs = tuple(range(n))
+    plain = python_calls(lambda: bu(COUNT, xs))
+    instrumented = python_calls(lambda: run_instrumented("bu", COUNT, xs))
+    # a wrapper around g would add one call per sublist, 2**n - 1 = 255
+    assert 0 < instrumented - plain <= 4 * n
 
 
 def test_peak_nesting_profiles():
