@@ -82,8 +82,7 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
     sublist is answered once, no tree is built, and only two levels and
     one level's children are ever live.
     """
-    for answer in _bu_levels(solver, xs):  # the level records, then the answer
-        pass
+    *_, answer = _bu_levels(solver, xs)  # the level records, then the answer
     return answer
 
 
@@ -132,22 +131,21 @@ def bu_spec(solver: Solver[E, S], xs: Sequence[E]) -> S:
     return un_tip(level)
 
 
-# Each driver with its table layers around a children tuple (a bu level).
-_DRIVERS = {"td": (td, 0), "bu": (bu, 1)}
+# Each driver's table layers around a children tuple (a bu level), by name.
+_LAYERS = {"td": 0, "bu": 1}
 
 
 @dataclass
 class CallStats:
-    """Counters collected by run_instrumented.
+    """Counters collected by run_instrumented, which picks td or bu by name.
 
-    peak_nesting is the driver's table layers (td 0, bu 1) plus the
-    nesting of the first children tuple g receives for each sublist
-    size, as all of one size are built alike; on empty input, where g is
-    never called, it is the layer count alone, whatever e() returns.
-    td counts g calls and nesting in a wrapper around g, and g_key_counts
-    maps tuple(ys), for each ys it passes to g, to its call count.  bu,
-    answering each sublist once, leaves g_key_counts empty and reads
-    both counts off levels, one LevelRecord per level (td leaves it empty).
+    td runs with a wrapper around g: g_key_counts maps tuple(ys), for each
+    ys it passes to g, to its call count, and the nesting of the first
+    children tuple of each sublist size is kept, as all of one size are
+    built alike.  bu runs the solver's own g and fills levels, one
+    LevelRecord per level.  Then g_calls sums the per-key or per-level
+    calls, and peak_nesting is the table layers (td 0, bu 1) plus the
+    largest nesting: the layers alone on empty input, whatever e() returns.
     """
 
     g_calls: int = 0
@@ -172,32 +170,30 @@ def run_instrumented(
 ) -> tuple[S, CallStats]:
     """Run td or bu, counting e calls, g calls and nesting as CallStats says;
     the result is identical to the uninstrumented run."""
-    driver, layers = _named(_DRIVERS, alg, "algorithm")
-    stats = CallStats(peak_nesting=layers)
-    walked_sizes: set[int] = set()
+    layers = _named(_LAYERS, alg, "algorithm")
+    stats = CallStats()
+    nestings: dict[int, int] = {}  # td's: sublist size -> nesting of its first children
 
     def counted_e() -> S:
         stats.e_calls += 1
         return solver.e()
 
     def counted_g(ys: Sequence[E], children: tuple[S, ...]) -> S:
-        stats.g_calls += 1
         stats.g_key_counts[tuple(ys)] += 1
-        if len(ys) not in walked_sizes:
-            walked_sizes.add(len(ys))
-            d = layers + _nesting_depth(children)
-            stats.peak_nesting = max(stats.peak_nesting, d)
+        if len(ys) not in nestings:
+            nestings[len(ys)] = _nesting_depth(children)
         return solver.g(ys, children)
 
     start = time.perf_counter_ns()
-    if driver is td:
+    if alg == "td":
         result = td(Solver(e=counted_e, g=counted_g), xs)
     else:
         *stats.levels, result = _bu_levels(Solver(e=counted_e, g=solver.g), xs, _nesting_depth)
     stats.wall_ns = time.perf_counter_ns() - start
-    for level in stats.levels:
-        stats.g_calls += level.g_calls
-        stats.peak_nesting = max(stats.peak_nesting, layers + level.nesting)
+    # td fills g_key_counts and nestings, bu fills levels
+    stats.g_calls = sum(chain(stats.g_key_counts.values(), (r.g_calls for r in stats.levels)))
+    stats.peak_nesting = layers + max(
+        chain(nestings.values(), (r.nesting for r in stats.levels)), default=0)
     return result, stats
 
 

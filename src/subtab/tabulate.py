@@ -27,6 +27,7 @@ from .bintree import (
     _shape,
     flatten,
     map_tree,
+    size,
     un_tip,
     validate_shape,
     zip_with,
@@ -36,6 +37,9 @@ E = TypeVar("E")
 P = TypeVar("P")
 
 Seq = Sequence
+
+# The entries retabulate and cd_classic may build and the law checks may map.
+_MAX_ENTRIES = 1_100_000
 
 
 def choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:
@@ -110,7 +114,7 @@ def retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
     if not validate_shape(t, n, k):
         raise ShapeError(f"tree does not validate at ({_digits(n)}, {k})")
     # valid at (n, k), t holds k * (n - k) distinct branches, so comb is cheap
-    _guard(comb(n, k + 1) * (k + 1), 1_100_000, "retabulate", "entries")
+    _guard(comb(n, k + 1) * (k + 1), _MAX_ENTRIES, "retabulate", "entries")
     if not k:
         return map_tree(lambda _: t, _blank(n, 1))  # each payload is the (1, 0) table t
     done, todo = [], [t]
@@ -168,7 +172,7 @@ def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:
     if shape.__class__ is not tuple:
         raise ShapeError("tree is valid at no (n, k) with 1 <= k < n")
     n, k = shape
-    _guard(comb(n, k + 1) * (k + 1), 1_100_000, "cd_classic", "entries")
+    _guard(comb(n, k + 1) * (k + 1), _MAX_ENTRIES, "cd_classic", "entries")
     columns: list[list[P]] = [[] for _ in range(k + 1)]
     _cd(columns, flatten(t), n, k, 0, 0)
     rows = zip(*columns)
@@ -191,7 +195,9 @@ def check_spec_equation(k: int, xs: Seq[E]) -> bool:
 
 
 def check_functor_laws(t: Tree[P], f: Callable, g: Callable) -> tuple[bool, bool]:
-    """Does map_tree keep identity and composition on t?  One bool per law."""
+    """Does map_tree keep identity and composition on t?  One bool per law.
+    t holds at most 1,100,000 entries, counted before any is mapped."""
+    _guard(size(t), _MAX_ENTRIES, "check_functor_laws", "entries")
     return (
         map_tree(lambda v: v, t) == t,
         map_tree(lambda v: f(g(v)), t) == map_tree(f, map_tree(g, t)),
@@ -202,10 +208,11 @@ def check_naturality(
     n: int, k: int, t: Tree[P], tip: Tree[P], f: Callable
 ) -> tuple[bool, bool]:
     """Do retabulate (t valid at (n, k), k below n) and un_tip (tip a tip)
-    commute with mapping f over payloads?  One bool per law."""
+    commute with mapping f over payloads?  One bool per law.  retabulate
+    checks t and its bound before f is mapped over any payload."""
+    raised = retabulate(n, k, t)
     return (
-        retabulate(n, k, map_tree(f, t))
-        == map_tree(lambda inner: map_tree(f, inner), retabulate(n, k, t)),
+        retabulate(n, k, map_tree(f, t)) == map_tree(lambda inner: map_tree(f, inner), raised),
         f(un_tip(tip)) == un_tip(map_tree(f, tip)),
     )
 

@@ -524,6 +524,10 @@ def test_blank_and_retabulate_bound_their_work():
             f"retabulate is limited to 1100000 entries, got {comb(300, 151) * 151}",
         lambda: retabulate(1_100_001, 0, TipZ(0)):
             "retabulate is limited to 1100000 entries, got 1100001",
+        lambda: check_naturality(40, 20, blank(40, 20), TipZ(0), abs):
+            f"retabulate is limited to 1100000 entries, got {comb(40, 21) * 21}",
+        lambda: check_functor_laws(blank(40, 20), str, abs):
+            f"check_functor_laws is limited to 1100000 entries, got {comb(40, 20)}",
     }
     for call, message in limits.items():
         with pytest.raises(SizeLimit, match=f"^{message}$"):

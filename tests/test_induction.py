@@ -31,6 +31,7 @@ from subtab import (
     td,
     td_call_count,
 )
+import subtab.induction as induction
 from subtab.induction import bu_spec
 
 COUNT = subtree_count_problem().solver
@@ -472,6 +473,16 @@ def test_instrumentation_does_not_change_the_result():
         run_instrumented("sideways", DIGEST, xs)
     with pytest.raises(UnknownName):
         run_instrumented("sideways", DIGEST, xs)
+
+
+def test_run_instrumented_picks_its_driver_by_name(monkeypatch):
+    # a tracer wraps induction.td; the wrapper must still be run as td
+    original = induction.td
+    monkeypatch.setattr(induction, "td", lambda solver, xs: original(solver, xs))
+    _, stats = run_instrumented("td", DIGEST, (1, 2, 3))
+    assert stats.g_calls == td_call_count(3)
+    assert len(stats.g_key_counts) == 7
+    assert stats.levels == []
 
 
 def test_closed_form_values_frozen():
