@@ -35,7 +35,7 @@ EXIT_USAGE = 2
 EXIT_SIZE_LIMIT = 3
 
 # the most elements each driver and render takes: td makes 623,530 g calls
-# at n = 9 in a few seconds, bu 2^n - 1, about a million in two or so at
+# at n = 9 in about a second, bu 2^n - 1, about a million in two or so at
 # n = 20, and a middle k prints C(n, k) entries, so render stops there
 _MAX_N = {"td": 9, "bu": 20, "render": 20}
 

@@ -46,8 +46,9 @@ def td(solver: Solver[E, S], xs: Sequence[E]) -> S:
 
     The children of ys drop its positions in turn, first to last, which
     is flatten(choose(len(ys) - 1, ys)) order, and no table is built.  xs
-    is read as choose reads it, a range as a tuple.  Recursion stops at
-    singletons, whose one child is e(), and calls e and g in the order a
+    is read as choose reads it, a range as a tuple.  A pair answers its
+    two singletons in place, each with e() for its one child, so td
+    recurses n - 1 deep, and e and g are still called in the order a
     descent to the empty sequence would.  Shared sublists are recomputed,
     so g calls grow superexponentially (td_call_count); past 20 elements
     td raises SizeLimit.
@@ -58,6 +59,8 @@ def td(solver: Solver[E, S], xs: Sequence[E]) -> S:
 
     def solve(ys: Sequence[E]) -> S:
         m = len(ys)
+        if m == 2:  # its singleton children, ys[1:] then ys[:1], need no frames
+            return g(ys, (g(ys[1:], (e(),)), g(ys[:1], (e(),))))
         if m == 1:
             return g(ys, (e(),))
         children = []

@@ -140,8 +140,7 @@ def _descent_events(xs):
     return events
 
 
-@pytest.mark.parametrize("make", [SOURCES[name] for name in ("tuple", "str", "range")],
-                         ids=["tuple", "str", "range"])
+@pytest.mark.parametrize("make", SOURCES.values(), ids=SOURCES.keys())
 def test_td_calls_e_and_g_as_a_descent_to_the_empty_sequence(make):
     for n in range(7):
         xs = make(n)
@@ -159,6 +158,31 @@ def test_td_calls_e_and_g_as_a_descent_to_the_empty_sequence(make):
         want = _descent_events(tuple(xs) if type(xs) is range else xs)
         assert events == want
         assert answer == len(want)
+
+
+def test_td_makes_no_frame_per_singleton():
+    n = 6
+    calls = Counter()
+
+    def e():
+        return 0
+
+    def g(ys, children):
+        return len(children)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code if frame.f_code in (e.__code__, g.__code__) else "other"] += 1
+
+    sys.setprofile(profile)
+    try:
+        td(Solver(e=e, g=g), tuple(range(n)))
+    finally:
+        sys.setprofile(None)
+    assert calls[e.__code__] == factorial(n) and calls[g.__code__] == td_call_count(n)
+    # one frame per visit to a sublist of size >= 2 and a few per run; a frame
+    # per singleton would add factorial(n) = 720
+    assert calls["other"] <= td_call_count(n) - factorial(n) + 8
 
 
 @pytest.mark.parametrize("xs", [tuple(range(21)), range(2000)], ids=["21", "2000"])
