@@ -306,6 +306,15 @@ def test_deep_chains_flatten_size_and_validate(bottom, grows_left, valid_at):
         assert validate_shape(t, 5001, k) is ((5001, k) == valid_at)
 
 
+@pytest.mark.slow
+@DEEP_CHAINS
+def test_deep_chains_map_zip_and_keep_the_functor_laws(bottom, grows_left, valid_at):
+    t, payloads = _chain(bottom, grows_left)
+    assert flatten(map_tree(str, t)) == tuple(map(str, payloads))
+    assert flatten(zip_with(lambda a, b: (a, b), t, t)) == tuple(zip(payloads, payloads))
+    assert check_functor_laws(t, str, abs) == (True, True)
+
+
 def _assert_compares_hashes_and_reprs(make, other):
     """Two builds of make() are equal, hash alike and repr alike; other
     differs from them only deep down."""

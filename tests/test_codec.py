@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import enum
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -384,6 +385,16 @@ def test_round_trip_of_sublist_tables():
         for k in range(len(xs) + 1):
             t = choose(k, xs)
             assert decode(encode(t)) == t
+
+
+# flat tables of C(20, 10) and C(18, 9) tips, which the codec's memo skips
+@pytest.mark.slow
+@pytest.mark.parametrize("k, xs", [(10, "abcdefghijklmnopqrst"), (9, tuple(range(18)))],
+                         ids=["str-20", "tuple-18"])
+def test_round_trip_of_large_flat_tables(k, xs):
+    t = choose(k, xs)
+    assert decode(encode(t)) == t
+    assert render_ascii(t).count("\n") == comb(len(xs), k) - 1  # a line per tip
 
 
 def test_distinct_trees_encode_distinctly():

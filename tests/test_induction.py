@@ -89,7 +89,7 @@ def test_sources_answer_as_their_tuples(xs, key_type):
 
 
 SOURCES = {
-    "str": lambda n: "abcdefgh"[:n],
+    "str": lambda n: "abcdefghijklmnop"[:n],
     "tuple": lambda n: tuple(range(n)),
     "list": lambda n: list(range(n)),
     "bytes": lambda n: bytes(range(n)),
@@ -230,6 +230,25 @@ def test_bu_keys_keep_the_source_type_and_match_its_tree_spec(make):
         assert flat == tree and len(flat) == 2**n - 1
         key_type = tuple if type(xs) is range else type(xs)
         assert all(type(ys) is key_type for ys, _ in flat)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("make", SOURCES.values(), ids=SOURCES.keys())
+def test_drivers_keep_the_key_type_and_agree_at_16_and_8_elements(make):
+    # digest answers alike for a key and the tuple of its elements, so
+    # the class of each key g is given is checked apart from the answer
+    for driver, n in ((bu, 16), (td, 8)):
+        xs = make(n)
+        key_types = set()
+
+        def g(ys, children):
+            key_types.add(type(ys))
+            return DIGEST.g(ys, children)
+
+        answer = driver(Solver(e=DIGEST.e, g=g), xs)
+        assert key_types == {tuple if type(xs) is range else type(xs)}
+        assert answer == driver(DIGEST, tuple(xs))
+    assert answer == bu(DIGEST, xs)  # td's answer at n = 8 is bu's on the same source
 
 
 class _ReachedLevelThree(Exception):

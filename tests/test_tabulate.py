@@ -294,11 +294,23 @@ def _depth_cases(n):
     }
 
 
-@pytest.mark.parametrize("name", _depth_cases(1))
-def test_tree_functions_do_not_recurse_per_tree_level(name):
-    call, expected = _depth_cases(300)[name]
-    # a recursion once per level of a 300-deep tree, or once per level
-    # drop in raising a (300, 298) table, would overflow; no tree function
+# every case at n = 300; some also at 2000 elements, and raising blank(1002,
+# 1000) to 1,003,002 entries, under retabulate's bound of 1,100,000
+LARGE_DEPTH_CASES = {
+    2000: ["map_tree-k=1", "zip_with-k=1", "retabulate-k=n-1", "cd_classic-k=n-1", "retabulate-k=0"],
+    1002: ["retabulate-k=n-2", "cd_classic-k=n-2"],
+}
+
+
+@pytest.mark.parametrize("name, n", [
+    *[pytest.param(name, 300, id=name) for name in _depth_cases(1)],
+    *[pytest.param(name, n, id=f"{name}-n={n}", marks=pytest.mark.slow)
+      for n, names in LARGE_DEPTH_CASES.items() for name in names],
+])
+def test_tree_functions_do_not_recurse_per_tree_level(name, n):
+    call, expected = _depth_cases(n)[name]
+    # a recursion once per level of an n-deep tree, or once per level
+    # drop in raising an (n, n - 2) table, would overflow; no tree function
     # recurses, and the codec stays out, as it recurses up to MAX_DEPTH by
     # design
     limit = sys.getrecursionlimit()
