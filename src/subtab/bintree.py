@@ -354,9 +354,10 @@ def flatten(t: Tree[P]) -> tuple[P, ...]:
 # payload ::= '*' | '-'? digit+ | '"' chars '"' | '[' [payload (',' payload)*] ']'
 #           | tree
 #
-# No whitespace is emitted and none is accepted.  Inside strings only '"'
-# and '\' are escaped, with a backslash.  Sequence payloads decode to
-# tuples; '[]' is the empty sequence.
+# No whitespace is emitted and none is accepted.  Inside strings only '"',
+# '\', and the line breaks LF and CR, written '\n' and '\r', are escaped,
+# with a backslash, so the text is one line; a raw line break still reads.
+# Sequence payloads decode to tuples; '[]' is the empty sequence.
 #
 # A tip holding a flat integer sequence, as every table over a numeric
 # source does, is read with one match and written with one join.  In a
@@ -375,8 +376,9 @@ _TOO_DEEP = f"nesting deeper than {MAX_DEPTH}"
 
 # A scalar payload: '*', an ASCII integer, or a string with its body in
 # group 1, and group 2 empty when it stops short of its closing quote.
-_SCALAR = re.compile(r'\*|-?[0-9]+|"([^"\\]*(?:\\["\\][^"\\]*)*)("?)')
-_ESCAPE = re.compile(r'\\(["\\])')
+_SCALAR = re.compile(r'\*|-?[0-9]+|"([^"\\]*(?:\\["\\nr][^"\\]*)*)("?)')
+_ESCAPE = re.compile(r'\\(["\\nr])')
+_UNESCAPED = {'"': '"', "\\": "\\", "n": "\n", "r": "\r"}  # by the character after '\'
 # A tip with a flat integer sequence as its payload, the items in group 1.
 _INT_TIP = re.compile(r"[ZS]\(\[(-?[0-9]+(?:,-?[0-9]+)*)\]\)")
 # Text whose first tip holds a tree: a table of tables.
@@ -449,7 +451,8 @@ def _write(p: object, parts: list[str], depth: int, tree: bool, memo: dict | Non
         except ValueError:  # more digits than the interpreter converts
             raise SizeLimit("integer too long") from None
     elif isinstance(p, str):
-        parts.append('"' + p.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        p = p.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
+        parts.append('"' + p + '"')
     else:
         raise TypeError(f"no encoding for payload of type {type(p).__name__}")
 
@@ -516,7 +519,7 @@ def _read(s: str, i: int, depth: int, tree: bool, memo: dict | None) -> tuple[ob
             raise ParseError("integer too long", i) from None
     if not scalar.group(2):
         raise ParseError("unterminated string" if end == len(s) else "bad escape", end)
-    return _ESCAPE.sub(r"\1", scalar.group(1)), end
+    return _ESCAPE.sub(lambda escape: _UNESCAPED[escape[1]], scalar.group(1)), end
 
 
 def _expect(s: str, i: int, ch: str) -> int:
@@ -531,8 +534,8 @@ def _expect(s: str, i: int, ch: str) -> int:
 def render_ascii(t: Tree[P]) -> str:
     """Indented multi-line picture of a tree: a branch prints '. ' and its
     left subtree, with the right subtree below it, both indented two
-    columns; a tip prints its payload on one line, a string bare and
-    others in the codec form."""
+    columns; a tip prints its payload on one line, a string with no line
+    break bare and others in the codec form."""
     lines: list[str] = []
     _ascii_into(t, "", "", lines, 0, _memo(t))
     return "\n".join(lines)
@@ -551,7 +554,7 @@ def _ascii_into(t: Tree, first: str, rest: str, lines: list[str], depth: int,
         _ascii_into(t.right, indent, indent, lines, depth + 1, memo)
     elif cls is not TipZ and cls is not TipS:
         raise ShapeError("not a tree")
-    elif isinstance(t.payload, str):
+    elif isinstance(t.payload, str) and "\n" not in t.payload and "\r" not in t.payload:
         lines.append(first + t.payload)
     else:
         parts = [first]

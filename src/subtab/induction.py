@@ -89,8 +89,9 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
     return answer
 
 
-# What bu did to answer level k + 1: sublists keyed, answers held at its end (level k's
-# and k + 1's), answers map(g, ...) returned, ns on keys, _cd and map, depth(first row).
+# What a driver did for the (k + 1)-sublists: C(n, k + 1) entries, answers live at the end
+# (bu's levels k and k + 1), g calls, ns on keys, _cd and g, nesting of the first children.
+# td keeps no level and times no stage, so its live, keys_ns, cd_ns and g_ns are None.
 LevelRecord = namedtuple("LevelRecord", "k entries live g_calls keys_ns cd_ns g_ns nesting")
 
 
@@ -142,13 +143,10 @@ _LAYERS = {"td": 0, "bu": 1}
 class CallStats:
     """Counters collected by run_instrumented, which picks td or bu by name.
 
-    td runs with a wrapper around g: g_key_counts maps tuple(ys), for each
-    ys it passes to g, to its call count, and the nesting of the first
-    children tuple of each sublist size is kept, as all of one size are
-    built alike.  bu runs the solver's own g and fills levels, one
-    LevelRecord per level.  Then g_calls sums the per-key or per-level
-    calls, and peak_nesting is the table layers (td 0, bu 1) plus the
-    largest nesting: the layers alone on empty input, whatever e() returns.
+    Both drivers fill levels, one LevelRecord per sublist size; g_calls sums their
+    g calls, and peak_nesting is the table layers (td 0, bu 1) plus their largest
+    nesting, the layers alone on empty input, whatever e() returns.  td's wrapper
+    around g also counts calls per tuple(ys) in g_key_counts: equal sublists share a key.
     """
 
     g_calls: int = 0
@@ -175,28 +173,30 @@ def run_instrumented(
     the result is identical to the uninstrumented run."""
     layers = _named(_LAYERS, alg, "algorithm")
     stats = CallStats()
-    nestings: dict[int, int] = {}  # td's: sublist size -> nesting of its first children
 
     def counted_e() -> S:
         stats.e_calls += 1
         return solver.e()
 
-    def counted_g(ys: Sequence[E], children: tuple[S, ...]) -> S:
-        stats.g_key_counts[tuple(ys)] += 1
-        if len(ys) not in nestings:
-            nestings[len(ys)] = _nesting_depth(children)
-        return solver.g(ys, children)
-
     start = time.perf_counter_ns()
     if alg == "td":
+        nestings: dict[int, int] = {}  # sublist size -> nesting of its first children
+
+        def counted_g(ys: Sequence[E], children: tuple[S, ...]) -> S:
+            stats.g_key_counts[tuple(ys)] += 1
+            if len(ys) not in nestings:
+                nestings[len(ys)] = _nesting_depth(children)
+            return solver.g(ys, children)
+
         result = td(Solver(e=counted_e, g=counted_g), xs)
+        calls = Counter(map(len, stats.g_key_counts.elements()))  # sublist size -> g calls
+        stats.levels = [LevelRecord(m - 1, math.comb(len(xs), m), None, calls[m], None, None, None,
+                                    nesting) for m, nesting in sorted(nestings.items())]
     else:
         *stats.levels, result = _bu_levels(Solver(e=counted_e, g=solver.g), xs, _nesting_depth)
     stats.wall_ns = time.perf_counter_ns() - start
-    # td fills g_key_counts and nestings, bu fills levels
-    stats.g_calls = sum(chain(stats.g_key_counts.values(), (r.g_calls for r in stats.levels)))
-    stats.peak_nesting = layers + max(
-        chain(nestings.values(), (r.nesting for r in stats.levels)), default=0)
+    stats.g_calls = sum(r.g_calls for r in stats.levels)
+    stats.peak_nesting = layers + max((r.nesting for r in stats.levels), default=0)
     return result, stats
 
 

@@ -63,6 +63,37 @@ def test_encode_escapes_quotes_and_backslashes():
     assert encode(TipZ('a"b\\c')) == 'Z("a\\"b\\\\c")'
 
 
+def test_encode_escapes_line_breaks():
+    assert encode(TipZ("a\nb\r")) == 'Z("a\\nb\\r")'
+    assert encode(TipZ("a\\nb")) == 'Z("a\\\\nb")'  # a backslash, then n
+
+
+@pytest.mark.parametrize("s", ["a\nb", "x\r", "a\\nb", "\\r", '\r\n\\"'])
+def test_strings_with_line_breaks_round_trip_on_one_line(s):
+    text = encode(TipZ(s))
+    assert "\n" not in text and "\r" not in text
+    assert decode(text) == TipZ(s)
+
+
+def test_decode_still_reads_raw_line_breaks():
+    assert decode('Z("a\nb\r")') == TipZ("a\nb\r")
+
+
+def test_render_ascii_prints_a_string_with_a_line_break_in_the_codec_form():
+    t = choose(1, "a\nb")
+    assert render_ascii(t) == '. . b\n    "\\n"\n  a'
+    assert render_ascii(Bin(TipS("x\r"), TipZ("y"))) == '. "x\\r"\n  y'
+
+
+@given(shaped_trees(max_n=6, payloads=codec_payloads | st.text('\n\r\\"a', max_size=6)))
+def test_encode_writes_one_line_and_render_ascii_one_line_per_tip(case):
+    _, _, t = case
+    assert "\n" not in encode(t) and "\r" not in encode(t)
+    picture = render_ascii(t)
+    assert "\r" not in picture
+    assert picture.count("\n") == len(flatten(t)) - 1
+
+
 def test_encode_table_golden():
     assert (
         encode(choose(2, "abcd"))

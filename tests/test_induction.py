@@ -440,7 +440,38 @@ def test_bu_level_records():
             for ns in (level.keys_ns, level.cd_ns, level.g_ns):
                 assert type(ns) is int and ns >= 0
     _, td_stats = run_instrumented("td", COUNT, tuple(range(4)))
-    assert td_stats.levels == []
+    assert [(level.k, level.entries, level.g_calls) for level in td_stats.levels] == [
+        (0, 4, 24), (1, 6, 12), (2, 4, 4), (3, 1, 1)
+    ]
+
+
+def test_td_level_records():
+    # one record per sublist size, as for bu: each (k + 1)-sublist is
+    # answered n!/(k + 1)! / C(n, k + 1) = (n - k - 1)! times
+    for n in range(9):
+        xs = tuple(range(n))
+        _, stats = run_instrumented("td", COUNT, xs)
+        keys = Counter(map(len, stats.g_key_counts))
+        assert [level.k for level in stats.levels] == list(range(n))
+        for level in stats.levels:
+            assert level.entries == comb(n, level.k + 1) == keys[level.k + 1]
+            assert level.g_calls == factorial(n) // factorial(level.k + 1)
+            assert level.nesting == 1  # a children tuple of ints
+            assert level.live is level.keys_ns is level.cd_ns is level.g_ns is None
+        assert sum(level.g_calls for level in stats.levels) == stats.g_calls == td_call_count(n)
+        _, bu_stats = run_instrumented("bu", COUNT, xs)
+        assert [(r.k, r.entries) for r in stats.levels] == [
+            (r.k, r.entries) for r in bu_stats.levels
+        ]
+
+
+def test_td_records_count_sublists_by_position_and_keys_by_value():
+    _, stats = run_instrumented("td", COUNT, "aab")
+    assert [level.entries for level in stats.levels] == [3, 3, 1]
+    assert [level.g_calls for level in stats.levels] == [6, 3, 1]
+    assert sorted(stats.g_key_counts.items()) == [
+        (("a",), 4), (("a", "a"), 1), (("a", "a", "b"), 1), (("a", "b"), 2), (("b",), 2)
+    ]
 
 
 def test_bu_instrumentation_runs_nothing_per_sublist():
@@ -525,7 +556,7 @@ def test_run_instrumented_picks_its_driver_by_name(monkeypatch):
     _, stats = run_instrumented("td", DIGEST, (1, 2, 3))
     assert stats.g_calls == td_call_count(3)
     assert len(stats.g_key_counts) == 7
-    assert stats.levels == []
+    assert [(level.k, level.g_calls) for level in stats.levels] == [(0, 6), (1, 3), (2, 1)]
 
 
 def test_closed_form_values_frozen():
