@@ -35,8 +35,9 @@ EXIT_USAGE = 2
 EXIT_SIZE_LIMIT = 3
 
 # the most elements each driver and render takes: td makes 623,530 g calls
-# at n = 9 in about a second, bu 2^n - 1, about a million in two or so at
-# n = 20, and a middle k prints C(n, k) entries, so render stops there
+# at n = 9 in about a second, bu 2^n - 1, about a million in 1.2 s or so at
+# n = 20 (subtab bench --n 20 --alg bu --problem min-removal-sum), and a
+# middle k prints C(n, k) entries, so render stops there
 _MAX_N = {"td": 9, "bu": 20, "render": 20}
 
 _INT_TOKEN = re.compile("-?[0-9]+")

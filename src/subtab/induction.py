@@ -77,13 +77,14 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
     Level k is a flat list of the answers for all k-sublists, in
     flatten(choose(k, xs)) order.  bu iterates the flat level raising
     that cd_classic runs, tabulate._cd, which fills one column per child
-    position.  Level k+1's keys, combinations(xs, k + 1) in reverse, are
-    built in C before _cd runs: one map per first element joins a
-    one-element slice of xs to level k's keys with +, so they keep xs's
-    type (a range is read as a tuple).  g is mapped over the keys and
-    the zipped columns, so g sees the same calls as under bu_spec.  Each
-    sublist is answered once, no tree is built, and only two levels and
-    one level's children are ever live.
+    position and gathers small regroupings through cached position plans.
+    Level k+1's keys, combinations(xs, k + 1) in reverse, are built in C
+    before _cd runs: one map per first element joins a one-element slice
+    of xs to level k's keys with +, so they keep xs's type (a range is
+    read as a tuple).  g is mapped over the keys and the zipped columns,
+    so g sees the same calls as under bu_spec.  Each sublist is answered
+    once, no tree is built, and only two levels and one level's children
+    are ever live.
     """
     *_, answer = _bu_levels(solver, xs)  # the level records, then the answer
     return answer

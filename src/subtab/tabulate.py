@@ -8,6 +8,7 @@ entries at all of its immediate sublists.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import repeat
 from math import comb, inf
 from typing import Callable, Sequence, TypeVar
@@ -40,6 +41,9 @@ Seq = Sequence
 
 # The entries retabulate and cd_classic may build and the law checks may map.
 _MAX_ENTRIES = 1_100_000
+
+# The most children a _cd subproblem may hand out and still be gathered by a plan.
+_PLANNED = 256
 
 
 def choose(k: int, xs: Seq[E]) -> Tree[Seq[E]]:
@@ -137,13 +141,26 @@ def retabulate(n: int, k: int, t: Tree[P]) -> Tree[Tree[P]]:
     return done[0]
 
 
-def _cd(columns: list[list], level: Seq, m: int, j: int, lo: int, shift: int) -> None:
+def _cd(columns: list[list], level: Seq, m: int, j: int, lo: int, shift: int,
+        planned: int = _PLANNED) -> None:
     """Level raising on flat lists: add to columns[shift:] the children of
     the (j+1)-sublists of the last m elements, after shift chosen earlier,
     whose level-j table, in flatten order, is level[lo:].  Each frame loops
     into its last subtree and recurses on the others, in which m - j is
-    smaller, so calls nest at most min(j, m - j) deep whatever m is."""
+    smaller, so calls nest at most min(j, m - j) deep whatever m is, and
+    two frames more while a plan is first built.
+
+    The regrouping depends on (m, j) alone, not on the payloads, so a
+    subproblem that hands out at most `planned` children, (j+1) * C(m, j+1),
+    is gathered through _plan(m, j): the positions in level[lo:] this
+    recursion would copy into each column, computed once by the recursion
+    itself with planning off."""
     while j:
+        if (m - j) * (width := comb(m, j)) <= planned:  # (j + 1) * C(m, j + 1) children
+            seg = level[lo : lo + width]
+            for c, positions in enumerate(_plan(m, j), shift):
+                columns[c] += map(seg.__getitem__, positions)
+            return
         for i in range(j + 1):  # the full tip of the last j + 1 elements
             columns[shift + i].append(level[lo + i])
         size = j + 1
@@ -153,11 +170,22 @@ def _cd(columns: list[list], level: Seq, m: int, j: int, lo: int, shift: int) ->
             size += 1
             if size == m:
                 break
-            _cd(columns, level, size - 1, j - 1, mid, shift + 1)
+            _cd(columns, level, size - 1, j - 1, mid, shift + 1, planned)
         else:  # m == j + 1: the full tip is the whole table
             return
         m, j, lo, shift = m - 1, j - 1, mid, shift + 1
     columns[shift] += repeat(level[lo], m)  # a TipZ: one child, the prefix
+
+
+@cache
+def _plan(m: int, j: int) -> tuple[bytes, ...]:
+    """_cd's regrouping of a level-j table over m elements, 1 <= j < m, as
+    one bytes of positions per child column: _cd run on the positions
+    range(C(m, j)) themselves.  _cd asks only where C(m, j) <= 256, so
+    each position fits a byte, and at most 292 plans exist."""
+    columns: list[list[int]] = [[] for _ in range(j + 1)]
+    _cd(columns, range(comb(m, j)), m, j, 0, 0, 0)
+    return tuple(map(bytes, columns))
 
 
 def cd_classic(t: Tree[P]) -> Tree[tuple[P, ...]]:

@@ -185,6 +185,25 @@ def test_td_makes_no_frame_per_singleton():
     assert calls["other"] <= td_call_count(n) - factorial(n) + 8
 
 
+def test_bu_gathers_small_regroupings_through_plans():
+    xs = tuple(range(15))
+    want = bu(COUNT, xs)  # the plans this run asks for are cached
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        frames += event == "call" and frame.f_code is induction._cd.__code__
+
+    sys.setprofile(profile)
+    try:
+        answer = bu(COUNT, xs)
+    finally:
+        sys.setprofile(None)
+    assert answer == want
+    # the recursion alone makes 8,193 _cd frames at n = 15; plans leave 1,538
+    assert frames <= 2000
+
+
 @pytest.mark.parametrize("xs", [tuple(range(21)), range(2000)], ids=["21", "2000"])
 def test_td_is_limited_to_20_elements(xs):
     calls = []

@@ -36,6 +36,7 @@ from subtab import (
     validate_shape,
     zip_with,
 )
+import subtab.tabulate as tabulate
 
 # hand-expanded from the shape rules, payload by payload
 CHOOSE_1_ABC = Bin(Bin(TipS("c"), TipZ("b")), TipZ("a"))
@@ -223,6 +224,33 @@ def test_cd_classic_matches_flattened_retabulate():
         for k in range(1, n):
             t = choose(k, xs)
             assert cd_classic(t) == map_tree(flatten, retabulate(n, k, t))
+
+
+def _raised(level, n, k, planned):
+    columns = [[] for _ in range(k + 1)]
+    tabulate._cd(columns, level, n, k, 0, 0, planned)
+    return columns
+
+
+def test_cd_plans_gather_what_the_recursion_copies(monkeypatch):
+    asked = set()
+    plan = tabulate._plan
+    monkeypatch.setattr(tabulate, "_plan", lambda m, j: asked.add((m, j)) or plan(m, j))
+    for n in range(1, 15):
+        for k in range(n):
+            for level in ([object() for _ in range(comb(n, k))], "".join(map(chr, range(comb(n, k))))):
+                assert _raised(level, n, k, tabulate._PLANNED) == _raised(level, n, k, 0)
+    # every plan _cd asks for is one the criterion admits, and it asks for some
+    admitted = {(m, j) for m in range(2, tabulate._PLANNED + 1) for j in range(1, m)
+                if (j + 1) * comb(m, j + 1) <= tabulate._PLANNED}
+    assert asked and asked <= admitted
+    # so the cache holds at most 292 plans, each of j + 1 columns of positions below C(m, j)
+    assert len(admitted) == 292 and sum((j + 1) * comb(m, j + 1) for m, j in admitted) == 36_945
+    for m, j in admitted:
+        columns = plan(m, j)
+        assert len(columns) == j + 1 and comb(m, j) <= 256
+        assert all(len(c) == comb(m, j + 1) and max(c) < comb(m, j) for c in columns)
+    assert plan.cache_info().currsize == len(admitted)
 
 
 def test_cd_classic_rejects_bare_tips():
