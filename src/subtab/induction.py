@@ -46,29 +46,29 @@ def td(solver: Solver[E, S], xs: Sequence[E]) -> S:
 
     The children of ys drop its positions in turn, first to last, which
     is flatten(choose(len(ys) - 1, ys)) order, and no table is built.  xs
-    is read as choose reads it, a range as a tuple.  A pair answers its
-    two singletons in place, each with e() for its one child, so td
-    recurses n - 1 deep, and e and g are still called in the order a
-    descent to the empty sequence would.  Shared sublists are recomputed,
-    so g calls grow superexponentially (td_call_count); past 20 elements
-    td raises SizeLimit.
+    is read as choose reads it, a range as a tuple.  An empty or one-element
+    xs is answered at entry, so solve meets only sublists of two or more: a
+    pair answers its two singletons in place, each with e() for its one child.
+    So td recurses n - 1 deep, and e and g are called in the order a descent
+    to the empty sequence would.  Shared sublists are recomputed, so g calls
+    grow superexponentially (td_call_count); past 20 elements td raises SizeLimit.
     """
     xs, _ = _joinable(xs)
     _guard(len(xs), 20, "td")
     e, g = solver.e, solver.g
+    if len(xs) < 2:  # the empty source, or a singleton with e() for its one child
+        return g(xs, (e(),)) if xs else e()
 
-    def solve(ys: Sequence[E]) -> S:
+    def solve(ys: Sequence[E]) -> S:  # ys has two or more elements
         m = len(ys)
         if m == 2:  # its singleton children, ys[1:] then ys[:1], need no frames
             return g(ys, (g(ys[1:], (e(),)), g(ys[:1], (e(),))))
-        if m == 1:
-            return g(ys, (e(),))
         children = []
         for i in range(m):
             children.append(solve(ys[:i] + ys[i + 1 :]))
         return g(ys, tuple(children))
 
-    return solve(xs) if xs else e()
+    return solve(xs)
 
 
 def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
@@ -190,7 +190,9 @@ def run_instrumented(
             return solver.g(ys, children)
 
         result = td(Solver(e=counted_e, g=counted_g), xs)
-        calls = Counter(map(len, stats.g_key_counts.elements()))  # sublist size -> g calls
+        calls = Counter()  # sublist size -> g calls, summed over the distinct keys
+        for key, count in stats.g_key_counts.items():
+            calls[len(key)] += count
         stats.levels = [LevelRecord(m - 1, math.comb(len(xs), m), None, calls[m], None, None, None,
                                     nesting) for m, nesting in sorted(nestings.items())]
     else:

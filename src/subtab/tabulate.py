@@ -145,16 +145,16 @@ def _cd(columns: list[list], level: Seq, m: int, j: int, lo: int, shift: int,
         planned: int = _PLANNED) -> None:
     """Level raising on flat lists: add to columns[shift:] the children of
     the (j+1)-sublists of the last m elements, after shift chosen earlier,
-    whose level-j table, in flatten order, is level[lo:].  Each frame loops
-    into its last subtree and recurses on the others, in which m - j is
-    smaller, so calls nest at most min(j, m - j) deep whatever m is, and
-    two frames more while a plan is first built.
+    whose level-j table, in flatten order, is level[lo:].  After the full
+    tip of the last j + 1 elements, one loop takes each first element's block
+    and recurses on the (size, j - 1) table after it, in which m - j is smaller,
+    but loops into the last block's, so calls nest at most min(j, m - j) deep
+    whatever m is, and two frames more while a plan is first built.
 
     The regrouping depends on (m, j) alone, not on the payloads, so a
-    subproblem that hands out at most `planned` children, (j+1) * C(m, j+1),
-    is gathered through _plan(m, j): the positions in level[lo:] this
-    recursion would copy into each column, computed once by the recursion
-    itself with planning off."""
+    subproblem handing out at most `planned` children, (j+1) * C(m, j+1),
+    is gathered through _plan(m, j): the positions in level[lo:] that this
+    recursion, run once with planning off, copies into each column."""
     while j:
         if (m - j) * (width := comb(m, j)) <= planned:  # (j + 1) * C(m, j + 1) children
             seg = level[lo : lo + width]
@@ -163,16 +163,13 @@ def _cd(columns: list[list], level: Seq, m: int, j: int, lo: int, shift: int,
             return
         for i in range(j + 1):  # the full tip of the last j + 1 elements
             columns[shift + i].append(level[lo + i])
-        size = j + 1
-        while size < m:  # then down the left spine, whose last subtree is looped into
+        if m == j + 1:  # the full tip is the whole table
+            return
+        for size in range(j + 1, m):  # one block per first element, up the left spine
             mid = lo + comb(size, j)
             columns[shift] += level[lo:mid]
-            size += 1
-            if size == m:
-                break
-            _cd(columns, level, size - 1, j - 1, mid, shift + 1, planned)
-        else:  # m == j + 1: the full tip is the whole table
-            return
+            if size < m - 1:  # the last block's (size, j - 1) table is looped into
+                _cd(columns, level, size, j - 1, mid, shift + 1, planned)
         m, j, lo, shift = m - 1, j - 1, mid, shift + 1
     columns[shift] += repeat(level[lo], m)  # a TipZ: one child, the prefix
 
@@ -213,8 +210,9 @@ def check_spec_equation(k: int, xs: Seq[E]) -> bool:
     Checks, for the given source xs, that raising the level-k table of
     sublists yields exactly the table that maps each (k+1)-sublist ys to
     the table (resp. tuple) of its own immediate sublists.  The tuple-form
-    comparison via cd_classic applies only for k >= 1.
+    comparison via cd_classic applies only for k >= 1; k runs over 0..len(xs) - 1.
     """
+    k = _level(k, len(xs) - 1)
     table = choose(k, xs)
     keys = choose(k + 1, xs)
     nested_ok = retabulate(len(xs), k, table) == map_tree(lambda ys: choose(k, ys), keys)

@@ -354,8 +354,11 @@ def test_level_raising_equation_sweep():
     for n in range(1, 8):
         for k in range(n):
             assert check_spec_equation(k, "abcdefg"[:n])
-    with pytest.raises(InvalidLevel):
+    # k itself is checked, against the levels below len(xs), not k + 1
+    with pytest.raises(InvalidLevel, match=r"^3 is outside 0\.\.2$"):
         check_spec_equation(3, "abc")
+    with pytest.raises(InvalidLevel, match=r"^0 is outside 0\.\.-1$"):
+        check_spec_equation(0, "")
     with pytest.raises(InvalidLevel):
         check_spec_equation(-1, "abc")
 
