@@ -364,7 +364,8 @@ def flatten(t: Tree[P]) -> tuple[P, ...]:
 # table of tables, as retabulate builds, the n - k tables above an entry
 # share its sequence: there one call writes each tuple of exact ints once,
 # keyed by id (the tree keeps it alive; (True, 2) equals (1, 2)), and reads
-# each digit body once, so equal tips share one tuple.  Flat tables take no memo.
+# each tip text once, so equal tips decode to one node, and a Z and an S tip
+# with one body share its tuple.  Flat tables take no memo.
 #
 # Each 'Z(', 'S(', 'B(' and '[' opens one nesting level.  The reader and the
 # writer take depth, the levels open around the call, and whether a tree must
@@ -379,8 +380,9 @@ _TOO_DEEP = f"nesting deeper than {MAX_DEPTH}"
 _SCALAR = re.compile(r'\*|-?[0-9]+|"([^"\\]*(?:\\["\\nr][^"\\]*)*)("?)')
 _ESCAPE = re.compile(r'\\(["\\nr])')
 _UNESCAPED = {'"': '"', "\\": "\\", "n": "\n", "r": "\r"}  # by the character after '\'
-# A tip with a flat integer sequence as its payload, the items in group 1.
-_INT_TIP = re.compile(r"[ZS]\(\[(-?[0-9]+(?:,-?[0-9]+)*)\]\)")
+# A tip that may hold a flat integer sequence, its items in group 1; int()
+# refuses a malformed body, which the general path then reads and places.
+_INT_TIP = re.compile(r"[ZS]\(\[([-0-9,]+)\]\)")
 # Text whose first tip holds a tree: a table of tables.
 _NESTED = re.compile(r"(?:B\()*[ZS]\([BZS]\(")
 
@@ -459,7 +461,8 @@ def _write(p: object, parts: list[str], depth: int, tree: bool, memo: dict | Non
 
 def decode(text: str) -> Tree:
     """Parse the text form back into a tree; ParseError with the offending
-    offset on malformed input, trailing characters included."""
+    offset on malformed input, trailing characters included.  In a table of
+    tables, equal integer tips decode to one shared node."""
     t, pos = _read(text, 0, 0, True, {} if _NESTED.match(text) else None)
     if pos != len(text):
         raise ParseError("trailing input", pos)
@@ -469,7 +472,7 @@ def decode(text: str) -> Tree:
 def _read(s: str, i: int, depth: int, tree: bool, memo: dict | None) -> tuple[object, int]:
     """Read the payload at s[i], a tree where tree is set, and the offset
     past it; depth counts the levels open around it, and memo, if any,
-    maps an integer tip's digit body to its tuple."""
+    maps an integer tip's text, such as 'S([1,2])', to its node."""
     c = s[i : i + 1]
     if tree or c in ("Z", "S", "B", "["):
         if not c:
@@ -478,15 +481,20 @@ def _read(s: str, i: int, depth: int, tree: bool, memo: dict | None) -> tuple[ob
             raise ParseError(_TOO_DEEP, i)
         if c == "Z" or c == "S":
             if depth + 1 < MAX_DEPTH and (tip := _INT_TIP.match(s, i)):
-                body = tip[1]
-                try:  # a memo holds no empty tuple, so a hit is true
-                    items = memo is not None and memo.get(body) or tuple(map(int, body.split(",")))
-                except ValueError:  # an integer too long: the general path places it
+                key = tip[0]
+                if memo and (node := memo.get(key)):
+                    return node, tip.end()
+                # the other letter's twin, if read, holds the same tuple
+                twin = memo and memo.get(("S" if c == "Z" else "Z") + key[1:])
+                try:
+                    items = twin.payload if twin else tuple(map(int, tip[1].split(",")))
+                except ValueError:  # a malformed or over-long integer: the general path places it
                     pass
                 else:
+                    node = (TipZ if c == "Z" else TipS)(items)
                     if memo is not None:
-                        memo[body] = items
-                    return (TipZ if c == "Z" else TipS)(items), tip.end()
+                        memo[key] = node
+                    return node, tip.end()
             payload, i = _read(s, _expect(s, i + 1, "("), depth + 1, False, memo)
             return (TipZ(payload) if c == "Z" else TipS(payload)), _expect(s, i, ")")
         if c == "B":

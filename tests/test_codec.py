@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import enum
+import pickle
 import sys
 from math import comb
 
@@ -25,6 +26,8 @@ from subtab import (
     map_tree,
     render_ascii,
     retabulate,
+    size,
+    validate_shape,
 )
 from subtab.bintree import MAX_DEPTH
 
@@ -167,6 +170,11 @@ def test_decode_accepts_noncanonical_integers():
         ),
         pytest.param(SHARED_LONG_TEXT, 30, marks=DIGIT_LIMIT,
                      id="over-long-integer-after-shared-sequences"),
+        # bodies the integer-tip match takes and int() refuses
+        ("Z([1-2])", 4),
+        ("Z([-])", 4),
+        ("Z([1,2-])", 6),
+        ("B(S([1,2]),Z([1--2]))", 15),
     ],
 )
 def test_decode_reports_the_offending_position(text, position):
@@ -274,6 +282,10 @@ DEEP_TEXTS = {
     "shared-int-tips": lambda d: (
         "Z(B(S([1,2])," + "Z(" * (d - 4) + "Z([1,2])" + ")" * (d - 4) + "))", 2 * d + 7
     ),
+    # the same tip text again d levels down: a memo hit does not lift the bound
+    "repeated-int-tip": lambda d: (
+        "Z(B(Z([1,2])," + "Z(" * (d - 4) + "Z([1,2])" + ")" * (d - 4) + "))", 2 * d + 7
+    ),
 }
 # One more level of the same kind around a tree, built by hand since
 # decode returns nothing that deep.
@@ -283,6 +295,7 @@ DEEPER = {
     "sequences": lambda t: TipZ((t.payload,)),
     "int-tips": TipZ,
     "shared-int-tips": lambda t: TipZ(Bin(t.payload.left, TipZ(t.payload.right))),
+    "repeated-int-tip": lambda t: TipZ(Bin(t.payload.left, TipZ(t.payload.right))),
 }
 
 
@@ -390,6 +403,10 @@ def _sequence_tips(t):
     return [w for inner in flatten(t) for w in flatten(inner)]
 
 
+def _tip_nodes(t):
+    return _tip_nodes(t.left) + _tip_nodes(t.right) if isinstance(t, Bin) else [t]
+
+
 def test_a_raised_table_decodes_to_shared_sequences():
     # each of the 1716 6-sublists of 13 elements is in 7 of the raised
     # table's entries, as retabulate shares it
@@ -399,6 +416,22 @@ def test_a_raised_table_decodes_to_shared_sequences():
     tips = _sequence_tips(decoded)
     assert len(tips) == 12012
     assert len({id(w) for w in tips}) == 1716
+    # equal tip texts decode to one node, and a Z and an S tip over one
+    # sequence to two nodes that share its tuple
+    nodes = [tip for inner in flatten(decoded) for tip in _tip_nodes(inner)]
+    assert len(nodes) == 12012
+    assert len({id(tip) for tip in nodes}) == 2639
+    assert size(decoded) == size(t)
+    assert hash(decoded) == hash(t)
+    assert validate_shape(decoded, 13, 7)
+    copied = pickle.loads(pickle.dumps(decoded))
+    assert copied == t
+    assert len({id(tip) for inner in flatten(copied) for tip in _tip_nodes(inner)}) == 2639
+    # flat texts take no memo: each tip decodes to its own node, equal or not
+    flat = decode(encode(choose(6, tuple(range(13)))))
+    assert len({id(tip) for tip in _tip_nodes(flat)}) == 1716
+    firsts = decode(encode(map_tree(lambda w: w[:1], choose(6, tuple(range(13))))))
+    assert len({id(tip) for tip in _tip_nodes(firsts)}) == 1716
 
 
 def test_shared_and_distinct_sequences_are_written_alike():
