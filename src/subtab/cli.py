@@ -34,12 +34,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SIZE_LIMIT = 3
 
-# the most elements each driver and render takes: td makes 623,530 g calls
-# at n = 9 in about a second, bu 2^n - 1, about a million in 1.2 s or so at
-# n = 20 (subtab bench --n 20 --alg bu --problem min-removal-sum), and a
-# middle k prints C(n, k) entries, so render stops there
-_MAX_N = {"td": 9, "bu": 20, "render": 20}
-
 _INT_TOKEN = re.compile("-?[0-9]+")
 
 
@@ -194,7 +188,6 @@ def _stats_report(problem: str, alg: str, xs: Sequence, result: object, stats) -
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    _guard(args.n, _MAX_N[args.alg], args.alg)
     problem = get_problem(args.problem)
     xs = problem.generator(args.n, 0)
     result, stats = run_instrumented(args.alg, problem.solver, xs)
@@ -205,7 +198,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = get_problem(args.problem)
     xs = _parse_elements(args.input, _ascii_int if problem.domain == "numbers" else str)
-    _guard(len(xs), _MAX_N[args.alg], args.alg)
     result, stats = run_instrumented(args.alg, problem.solver, xs)
     print(result)
     print(json.dumps(_stats_report(args.problem, args.alg, xs, result, stats)))
@@ -231,7 +223,7 @@ def _parse_elements(text: str, parse_element: Callable[[str], object]) -> tuple:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    _guard(len(args.input), _MAX_N["render"], "render")
+    _guard(len(args.input), 20, "render")  # a middle k prints C(n, k) entries: 184,756 at 20
     table = choose(args.k, args.input)
     print(render_ascii(table) if args.format == "ascii" else encode(table))
     return EXIT_OK

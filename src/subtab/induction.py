@@ -10,6 +10,7 @@ any solver.  `bu_spec`, the tree form of `bu`, is its specification.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
@@ -17,8 +18,8 @@ from itertools import chain, islice
 from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
 from .bintree import (
-    Bin, TipZ, Tree, UnknownName, _NODES, _digits, _fold, _guard, flatten, map_tree, un_tip,
-    zip_with,
+    Bin, SizeLimit, TipZ, Tree, UnknownName, _NODES, _digits, _fold, _guard, flatten, map_tree,
+    un_tip, zip_with,
 )
 from .tabulate import _cd, _joinable, choose, retabulate
 
@@ -51,10 +52,9 @@ def td(solver: Solver[E, S], xs: Sequence[E]) -> S:
     pair answers its two singletons in place, each with e() for its one child.
     So td recurses n - 1 deep, and e and g are called in the order a descent
     to the empty sequence would.  Shared sublists are recomputed, so g calls
-    grow superexponentially (td_call_count); past 20 elements td raises SizeLimit.
+    grow superexponentially (td_call_count); past 9 elements td raises SizeLimit.
     """
-    xs, _ = _joinable(xs)
-    _guard(len(xs), 20, "td")
+    xs, _ = _joinable(_bounded(xs, 9, "td"))
     e, g = solver.e, solver.g
     if len(xs) < 2:  # the empty source, or a singleton with e() for its one child
         return g(xs, (e(),)) if xs else e()
@@ -84,7 +84,7 @@ def bu(solver: Solver[E, S], xs: Sequence[E]) -> S:
     read as a tuple).  g is mapped over the keys and the zipped columns,
     so g sees the same calls as under bu_spec.  Each sublist is answered
     once, no tree is built, and only two levels and one level's children
-    are ever live.
+    are ever live.  20 elements take a second or two; past 20 bu raises SizeLimit.
     """
     *_, answer = _bu_levels(solver, xs)  # the level records, then the answer
     return answer
@@ -99,7 +99,7 @@ LevelRecord = namedtuple("LevelRecord", "k entries live g_calls keys_ns cd_ns g_
 def _bu_levels(solver: Solver[E, S], xs: Sequence[E], depth=lambda row: 0) -> Iterator:
     """bu's sweep: a LevelRecord as each level is answered, then the answer
     for xs.  Nothing but g runs per sublist; a few clock reads run per level."""
-    xs, empty = _joinable(xs)
+    xs, empty = _joinable(_bounded(xs, 20, "bu"))
     n, clock = len(xs), time.perf_counter_ns
     level, keys = [solver.e()], [empty]
     for k in range(n):
@@ -119,6 +119,17 @@ def _bu_levels(solver: Solver[E, S], xs: Sequence[E], depth=lambda row: 0) -> It
                           regrouped - keyed, solved - regrouped, depth(next(zip(*columns))))
         level = answers
     yield level[0]
+
+
+def _bounded(xs: Sequence[E], bound: int, what: str) -> Sequence[E]:
+    """xs, or SizeLimit past bound elements before anything copies xs or calls e or g."""
+    try:
+        n = len(xs)
+    except OverflowError:  # a length past sys.maxsize, as of range(10**20)
+        n = f"more than {sys.maxsize}"
+        raise SizeLimit(f"{what} is limited to {bound} elements, got {n}") from None
+    _guard(n, bound, what)
+    return xs
 
 
 def bu_spec(solver: Solver[E, S], xs: Sequence[E]) -> S:

@@ -86,17 +86,12 @@ def subtree_count(m: int) -> int:
     return td_call_count(m) + math.factorial(m)
 
 
-def _subtree_count_g(ys: Seq, children: tuple[int, ...]) -> int:
-    _guard(len(ys), 20, "subtree-count")
-    return 1 + sum(children)
-
-
 def subtree_count_problem() -> Problem:
     """Count the nodes of the full recursion tree; depends only on length."""
     return Problem(
         name="subtree-count",
         domain="arbitrary tokens, at most 20 of them",
-        solver=Solver(e=lambda: 1, g=_subtree_count_g),
+        solver=Solver(e=lambda: 1, g=lambda ys, children: 1 + sum(children)),
         oracle=lambda xs: subtree_count(len(xs)),
         generator=_inputs(ascii_lowercase),
     )

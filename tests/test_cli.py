@@ -170,10 +170,16 @@ def test_solve_rejects_non_ascii_digits(capsys, text):
 
 
 def test_solve_enforces_driver_size_limits(capsys):
-    code, _, _ = run(
+    code, _, err = run(
         capsys, "solve", "--problem", "digest", "--input", "abcdefghij", "--alg", "td"
     )
     assert code == 3
+    assert err == "error: td is limited to 9 elements, got 10\n"
+    code, _, err = run(
+        capsys, "solve", "--problem", "digest", "--input", "abcdefghijklmnopqrstu", "--alg", "bu"
+    )
+    assert code == 3
+    assert err == "error: bu is limited to 20 elements, got 21\n"
 
 
 def test_render_text_and_ascii(capsys):

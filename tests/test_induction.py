@@ -6,6 +6,7 @@ import sys
 import weakref
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from math import comb, factorial
 from random import Random
@@ -204,12 +205,36 @@ def test_bu_gathers_small_regroupings_through_plans():
     assert frames <= 1538
 
 
-@pytest.mark.parametrize("xs", [tuple(range(21)), range(2000)], ids=["21", "2000"])
-def test_td_is_limited_to_20_elements(xs):
+class _Unread(Sequence):
+    """A source of a given length whose elements no size check may read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError("an element was read before the size check")
+
+
+DRIVERS = {  # each entry point, the driver whose bound it meets, and that bound
+    "td": (td, "td", 9),
+    "bu": (bu, "bu", 20),
+    "instrumented-td": (lambda s, xs: run_instrumented("td", s, xs), "td", 9),
+    "instrumented-bu": (lambda s, xs: run_instrumented("bu", s, xs), "bu", 20),
+}
+
+
+@pytest.mark.parametrize("driver, name, bound", DRIVERS.values(), ids=DRIVERS.keys())
+def test_drivers_refuse_sources_past_their_bound(driver, name, bound):
     calls = []
-    solver = Solver(e=lambda: 0, g=lambda ys, children: calls.append(ys))
-    with pytest.raises(SizeLimit, match=f"^td is limited to 20 elements, got {len(xs)}$"):
-        td(solver, xs)
+    solver = Solver(e=lambda: calls.append("e"), g=lambda ys, children: calls.append(ys))
+    past = f"more than {sys.maxsize}"  # len() itself overflows
+    for xs, got in ((tuple(range(bound + 1)), bound + 1), (range(2000), 2000),
+                    (_Unread(10**7), 10**7), (range(10**20), past), (_Unread(10**20), past)):
+        with pytest.raises(SizeLimit, match=f"^{name} is limited to {bound} elements, got {got}$"):
+            driver(solver, xs)
     assert calls == []
 
 
@@ -280,13 +305,13 @@ def test_bu_recursion_depth_is_bounded_by_the_level_not_by_n():
             raise _ReachedLevelThree
         return 0
 
-    # a recursion down the left spine would go 150 deep; bu's cd goes
-    # k + 1.  Level 2 of 150 elements is already C(150, 3) = 551,300 rows.
+    # a recursion down the left spine would go 20 deep; bu's cd goes k + 1,
+    # and bu reaches level 2 within 9 frames of this one
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    sys.setrecursionlimit(len(inspect.stack(0)) + 12)
     try:
         with pytest.raises(_ReachedLevelThree):
-            bu(Solver(e=lambda: 0, g=g), tuple(range(150)))
+            bu(Solver(e=lambda: 0, g=g), tuple(range(20)))
     finally:
         sys.setrecursionlimit(limit)
 

@@ -108,8 +108,8 @@ def test_subtree_count_solver_matches_oracle():
 
 def test_subtree_count_guards_long_inputs():
     p = subtree_count_problem()
-    with pytest.raises(SizeLimit, match="^subtree-count is limited to 20 elements, got 21$"):
-        p.solver.g(tuple(range(21)), TipZ(1))
+    with pytest.raises(SizeLimit, match="^bu is limited to 20 elements, got 21$"):
+        bu(p.solver, tuple(range(21)))
     s = 1
     for m in range(1, 21):
         s = 1 + m * s
