@@ -238,6 +238,17 @@ def test_drivers_refuse_sources_past_their_bound(driver, name, bound):
     assert calls == []
 
 
+# td's bound was 20 and is now 9: the sources it refused then, it still
+# refuses, without calling e or g
+@pytest.mark.parametrize("xs", [tuple(range(21)), range(2000)], ids=["21", "2000"])
+def test_td_is_limited_to_20_elements(xs):
+    calls = []
+    solver = Solver(e=lambda: calls.append("e"), g=lambda ys, children: calls.append(ys))
+    with pytest.raises(SizeLimit, match=f"^td is limited to 9 elements, got {len(xs)}$"):
+        td(solver, xs)
+    assert calls == []
+
+
 def test_bu_calls_g_like_its_tree_spec():
     def recording(calls):
         def g(ys, children):
